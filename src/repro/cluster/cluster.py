@@ -7,7 +7,7 @@ placement hash is deterministic so every protocol sees the same layout.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import ClusterConfig
 from repro.cluster.node import Node
@@ -53,13 +53,42 @@ class Cluster:
     def allocate_record(self, record_id: int, data_bytes: int,
                         home: Optional[int] = None) -> RecordDescriptor:
         """Place a record on its home node (hash placement by default)."""
-        if record_id in self._records:
-            raise ValueError(f"record {record_id} already allocated")
-        node_id = self.home_of(record_id) if home is None else home
-        descriptor = self.nodes[node_id].memory.allocate_record(
-            record_id, data_bytes)
-        self._records[record_id] = descriptor
-        return descriptor
+        return self.allocate_records((record_id,), data_bytes, home=home)[0]
+
+    def allocate_records(self, record_ids: Iterable[int], data_bytes: int,
+                         home: Optional[int] = None) -> List[RecordDescriptor]:
+        """Place a batch of ``data_bytes``-sized records in one pass.
+
+        Each record goes to ``home`` if given, else to
+        :meth:`home_of`; every node allocates its share in batch order,
+        so memory is laid out exactly as one :meth:`allocate_record`
+        call per id, in that order, would lay it out.  Returns the
+        descriptors in batch order.
+        """
+        record_ids = list(record_ids)
+        nodes = self.config.nodes
+        if home is not None and not 0 <= home < nodes:
+            raise ValueError(f"home node {home} outside [0, {nodes})")
+        records = self._records
+        batch = set(record_ids)
+        if len(batch) < len(record_ids) or not batch.isdisjoint(records):
+            seen = set()
+            for record_id in record_ids:
+                if record_id in records or record_id in seen:
+                    raise ValueError(f"record {record_id} already allocated")
+                seen.add(record_id)
+        if home is None:
+            homes = list(map(self.home_of, record_ids))
+        else:
+            homes = [home] * len(record_ids)
+        shares: List[List[int]] = [[] for _ in range(nodes)]
+        for record_id, node_id in zip(record_ids, homes):
+            shares[node_id].append(record_id)
+        allocated = [iter(node.memory.allocate_records(share, data_bytes))
+                     for node, share in zip(self.nodes, shares)]
+        descriptors = [next(allocated[node_id]) for node_id in homes]
+        records.update(zip(record_ids, descriptors))
+        return descriptors
 
     def record(self, record_id: int) -> RecordDescriptor:
         descriptor = self._records.get(record_id)

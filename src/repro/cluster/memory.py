@@ -5,11 +5,18 @@ the Baseline reads/writes whole records, which simply touch all of a
 record's lines.  A bump allocator hands out record addresses aligned to
 cache lines (matching the paper's record layout, where version metadata
 and data start line-aligned).
+
+Allocation is contiguous, so the ascending list of record start
+addresses the allocator produces is the whole record index: the record
+holding a line is the last start at or below it, and a record ends
+where the next one (or the allocated range) begins.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from typing import Dict, Iterable, List, Sequence
 
 from repro.cluster.address import LINE_BYTES, make_address
 from repro.cluster.record import RecordDescriptor, RecordMetadata
@@ -21,6 +28,10 @@ class NodeMemory:
     def __init__(self, node_id: int):
         self.node_id = node_id
         self._lines: Dict[int, object] = {}
+        #: Start address of every allocated record, ascending.
+        self._record_starts: List[int] = []
+        #: Fig. 1 metadata of the records a protocol has touched,
+        #: created on first use by :meth:`metadata`.
         self._metadata: Dict[int, RecordMetadata] = {}
         self._next_offset = LINE_BYTES  # keep address 0 unused
         self.reads = 0
@@ -45,52 +56,68 @@ class NodeMemory:
 
     # -- record allocation ----------------------------------------------
 
-    def allocate_record(self, record_id: int, data_bytes: int,
-                        with_metadata: bool = True) -> RecordDescriptor:
-        """Allocate a line-aligned record in this node's memory.
+    def allocate_record(self, record_id: int,
+                        data_bytes: int) -> RecordDescriptor:
+        """Allocate one line-aligned record in this node's memory."""
+        return self.allocate_records((record_id,), data_bytes)[0]
 
-        ``with_metadata`` attaches the Fig. 1 augmented-record metadata
-        (needed by Baseline and HADES-H local operations; pure HADES has
-        no versions but keeping the metadata allocated is harmless and
-        lets one run compare protocols on identical data).
-        """
-        address = make_address(self.node_id, self._next_offset)
-        descriptor = RecordDescriptor(record_id, address, data_bytes)
+    def allocate_records(self, record_ids: Sequence[int],
+                         data_bytes: int) -> List[RecordDescriptor]:
+        """Allocate line-aligned records of ``data_bytes`` each, back to
+        back in the order given; one descriptor per id, in that order."""
+        if data_bytes <= 0:
+            raise ValueError(f"record data size must be positive: {data_bytes}")
+        count = len(record_ids)
+        if not count:
+            return []
         aligned = (data_bytes + LINE_BYTES - 1) // LINE_BYTES * LINE_BYTES
-        self._next_offset += aligned
-        if with_metadata:
-            self._metadata[address] = RecordMetadata(descriptor.line_count)
-        return descriptor
+        first = make_address(self.node_id, self._next_offset)
+        last = make_address(self.node_id,
+                            self._next_offset + aligned * (count - 1))
+        starts = list(range(first, last + aligned, aligned))
+        self._record_starts += starts
+        self._next_offset += aligned * count
+        # data_bytes was checked above, once for the whole batch;
+        # ``_make`` builds each tuple without repeating the check.
+        return list(map(RecordDescriptor._make,
+                        zip(record_ids, starts, repeat(data_bytes))))
 
     def iter_metadata(self):
-        """(address, metadata) pairs of every allocated record, in
-        address order — used by crash scrubbing and leak checks."""
+        """(address, metadata) pairs of every record whose metadata
+        exists, in address order — used by crash scrubbing and leak
+        checks.  A record without metadata was never touched, so it is
+        unlocked at version 0."""
         return sorted(self._metadata.items())
 
     def metadata(self, record_address: int) -> RecordMetadata:
+        """The record's Fig. 1 metadata, created on first use."""
         meta = self._metadata.get(record_address)
         if meta is None:
-            raise KeyError(
-                f"no record metadata at {record_address:#x} on node {self.node_id}")
+            starts = self._record_starts
+            index = bisect_left(starts, record_address)
+            if index == len(starts) or starts[index] != record_address:
+                raise KeyError(f"no record metadata at {record_address:#x} "
+                               f"on node {self.node_id}")
+            end = (starts[index + 1] if index + 1 < len(starts)
+                   else self._end_address())
+            meta = RecordMetadata((end - record_address) // LINE_BYTES)
+            self._metadata[record_address] = meta
         return meta
 
     def has_record(self, record_address: int) -> bool:
-        return record_address in self._metadata
+        starts = self._record_starts
+        index = bisect_left(starts, record_address)
+        return index < len(starts) and starts[index] == record_address
 
     def record_address_of_line(self, line: int) -> int:
-        """Base address of the record containing cache line ``line``.
-
-        Records are line-aligned and allocated contiguously, so walking
-        back to the nearest address with metadata finds the owner.
-        """
+        """Base address of the record containing cache line ``line``."""
         address = line * LINE_BYTES
-        floor = make_address(self.node_id, 0)
-        while address >= floor:
-            if address in self._metadata:
-                return address
-            address -= LINE_BYTES
-        raise KeyError(f"line {line} is not inside any record on node "
-                       f"{self.node_id}")
+        starts = self._record_starts
+        index = bisect_right(starts, address) - 1
+        if index < 0 or address >= self._end_address():
+            raise KeyError(f"line {line} is not inside any record on node "
+                           f"{self.node_id}")
+        return starts[index]
 
     def bump_versions_for_lines(self, lines: Iterable[int]) -> int:
         """Complete a write over ``lines``: bump each covered record's
@@ -99,8 +126,12 @@ class NodeMemory:
         for line in lines:
             seen.add(self.record_address_of_line(line))
         for address in seen:
-            self._metadata[address].complete_write()
+            self.metadata(address).complete_write()
         return len(seen)
+
+    def _end_address(self) -> int:
+        """First address past the allocated range."""
+        return make_address(self.node_id, self._next_offset)
 
     @property
     def allocated_bytes(self) -> int:

@@ -7,13 +7,18 @@ address, data size) — shared by every protocol.
 version, lock, incarnation, and one version per cache line to support
 OCC read-atomicity checks.  HADES needs none of this — "there are no
 versions" (Table I) — which is precisely the storage/overhead saving
-the paper claims; the metadata object is only instantiated for
-Baseline and for HADES-H's software-managed local records.
+the paper claims; node memory creates a record's metadata object only
+when a protocol first touches it (see
+:meth:`repro.cluster.memory.NodeMemory.metadata`).
+
+The cluster holds a descriptor for every record and node memory the
+metadata of every touched record, so both classes are slotted: no
+per-instance ``__dict__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import List, Optional, Tuple
 
 from repro.cluster.address import lines_covering, node_of_address
@@ -25,17 +30,18 @@ RECORD_HEADER_BYTES = 24
 PER_LINE_VERSION_BYTES = 8
 
 
-@dataclass(frozen=True)
-class RecordDescriptor:
-    """Location and shape of one record."""
+class RecordDescriptor(namedtuple("RecordDescriptor",
+                                  "record_id address data_bytes")):
+    """Location and shape of one record: an immutable
+    ``(record_id, address, data_bytes)`` tuple."""
 
-    record_id: int
-    address: int
-    data_bytes: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.data_bytes <= 0:
-            raise ValueError(f"record data size must be positive: {self.data_bytes}")
+    def __new__(cls, record_id: int, address: int,
+                data_bytes: int) -> RecordDescriptor:
+        if data_bytes <= 0:
+            raise ValueError(f"record data size must be positive: {data_bytes}")
+        return super().__new__(cls, record_id, address, data_bytes)
 
     @property
     def home_node(self) -> int:
@@ -65,6 +71,9 @@ class RecordMetadata:
     every line version; a reader observing mixed versions raced with a
     writer and must retry.
     """
+
+    __slots__ = ("version", "lock_owner", "incarnation", "line_versions",
+                 "applying", "pending_unlock")
 
     def __init__(self, line_count: int):
         if line_count < 1:

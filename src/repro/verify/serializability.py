@@ -83,7 +83,7 @@ class SerializabilityChecker:
             raise RuntimeError("checker already installed")
         self._hooked = True
         line_to_record: Dict[int, int] = {}
-        for record_id, descriptor in self.cluster._records.items():
+        for record_id, descriptor in self.cluster.iter_records():
             first = descriptor.lines[0]
             self._first_lines[record_id] = first
             line_to_record[first] = record_id

@@ -51,9 +51,9 @@ class Workload:
 
     def populate(self, cluster: Cluster) -> None:
         """Allocate this workload's records across the cluster."""
-        for key in range(self.record_count):
-            cluster.allocate_record(self.record_id_base + key,
-                                    self.record_bytes)
+        base = self.record_id_base
+        cluster.allocate_records(range(base, base + self.record_count),
+                                 self.record_bytes)
 
     # -- transaction generation --------------------------------------------
 

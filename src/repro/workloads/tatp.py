@@ -78,18 +78,15 @@ class TatpWorkload(Workload):
         return self.record_id_base + 3 * self.subscribers + sid
 
     def populate(self, cluster: Cluster) -> None:
-        for sid in range(self.subscribers):
-            cluster.allocate_record(self.subscriber_record(sid),
-                                    SUBSCRIBER_BYTES)
-        for sid in range(self.subscribers):
-            cluster.allocate_record(self.access_info_record(sid),
-                                    ACCESS_INFO_BYTES)
-        for sid in range(self.subscribers):
-            cluster.allocate_record(self.special_facility_record(sid),
-                                    SPECIAL_FACILITY_BYTES)
-        for sid in range(self.subscribers):
-            cluster.allocate_record(self.call_forwarding_record(sid),
-                                    CALL_FORWARDING_BYTES)
+        tables = (
+            (self.subscriber_record(0), SUBSCRIBER_BYTES),
+            (self.access_info_record(0), ACCESS_INFO_BYTES),
+            (self.special_facility_record(0), SPECIAL_FACILITY_BYTES),
+            (self.call_forwarding_record(0), CALL_FORWARDING_BYTES),
+        )
+        for first, data_bytes in tables:
+            cluster.allocate_records(range(first, first + self.subscribers),
+                                     data_bytes)
 
     # -- transactions -----------------------------------------------------
 

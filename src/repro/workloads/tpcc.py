@@ -102,21 +102,16 @@ class TpccWorkload(Workload):
                 + district_index * ORDER_SLOTS_PER_DISTRICT + slot)
 
     def populate(self, cluster: Cluster) -> None:
-        sizes = (
-            [(self.warehouse_record(w), WAREHOUSE_BYTES)
-             for w in range(self.warehouses)]
-            + [(self.record_id_base + self.warehouses + d, DISTRICT_BYTES)
-               for d in range(self.districts)]
-            + [(self.customer_record(0, 0) + c, CUSTOMER_BYTES)
-               for c in range(self.customers)]
-            + [(self.item_record(i), ITEM_BYTES) for i in range(self.items)]
-            + [(self.stock_record(0, 0) + s, STOCK_BYTES)
-               for s in range(self.stock_records)]
-            + [(self.order_record(0, 0) + o, ORDER_BYTES)
-               for o in range(self.order_slots)]
+        tables = (
+            (self.warehouse_record(0), self.warehouses, WAREHOUSE_BYTES),
+            (self.district_record(0, 0), self.districts, DISTRICT_BYTES),
+            (self.customer_record(0, 0), self.customers, CUSTOMER_BYTES),
+            (self.item_record(0), self.items, ITEM_BYTES),
+            (self.stock_record(0, 0), self.stock_records, STOCK_BYTES),
+            (self.order_record(0, 0), self.order_slots, ORDER_BYTES),
         )
-        for record_id, data_bytes in sizes:
-            cluster.allocate_record(record_id, data_bytes)
+        for first, count, data_bytes in tables:
+            cluster.allocate_records(range(first, first + count), data_bytes)
 
     # -- transactions -----------------------------------------------------
 

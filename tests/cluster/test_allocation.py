@@ -1,0 +1,266 @@
+"""Tests for batch record allocation and the node memory record index.
+
+The reference loop below is the one-record-at-a-time placement the bulk
+path must reproduce exactly: each record goes to its splitmix64 home
+(or the given one) and takes the next line-aligned offset there.
+"""
+
+import pytest
+
+from repro.cluster import Cluster, NodeMemory
+from repro.cluster.address import LINE_BYTES, line_of, make_address
+from repro.config import ClusterConfig
+from repro.hardware.crc import splitmix64
+from repro.recovery.scrub import scrub_dead_residue, wipe_volatile_state
+from repro.sim import Engine
+from repro.trace import load_trace, record_trace, replay_trace, save_trace
+from repro.verify import find_leaks
+from repro.workloads import MicroWorkload, TpccWorkload, YcsbWorkload
+from repro.workloads.mixes import RECORD_ID_STRIDE
+
+CONFIG = ClusterConfig(nodes=4, cores_per_node=2)
+
+
+def one_at_a_time(nodes, records):
+    """``record_id -> (home, address, data_bytes, line_count)`` and each
+    node's allocated bytes, placing ``(record_id, data_bytes)`` pairs
+    one by one in the order given."""
+    next_offset = [LINE_BYTES] * nodes
+    placed = {}
+    for record_id, data_bytes in records:
+        home = splitmix64(record_id) % nodes
+        lines = (data_bytes + LINE_BYTES - 1) // LINE_BYTES
+        placed[record_id] = (home, make_address(home, next_offset[home]),
+                             data_bytes, lines)
+        next_offset[home] += lines * LINE_BYTES
+    return placed, [offset - LINE_BYTES for offset in next_offset]
+
+
+def ycsb_records(workload):
+    return [(workload.record_id_base + key, workload.record_bytes)
+            for key in range(workload.record_count)]
+
+
+def tpcc_records(workload):
+    """TPC-C's tables in population order, each with its record size."""
+    from repro.workloads import tpcc
+
+    return (
+        [(workload.warehouse_record(w), tpcc.WAREHOUSE_BYTES)
+         for w in range(workload.warehouses)]
+        + [(workload.district_record(0, 0) + d, tpcc.DISTRICT_BYTES)
+           for d in range(workload.districts)]
+        + [(workload.customer_record(0, 0) + c, tpcc.CUSTOMER_BYTES)
+           for c in range(workload.customers)]
+        + [(workload.item_record(i), tpcc.ITEM_BYTES)
+           for i in range(workload.items)]
+        + [(workload.stock_record(0, 0) + s, tpcc.STOCK_BYTES)
+           for s in range(workload.stock_records)]
+        + [(workload.order_record(0, 0) + o, tpcc.ORDER_BYTES)
+           for o in range(workload.order_slots)])
+
+
+def make_cluster(config=CONFIG):
+    return Cluster(Engine(), config, llc_sets=64)
+
+
+def assert_matches_reference(cluster, records):
+    placed, allocated = one_at_a_time(cluster.config.nodes, records)
+    actual = {record_id: (d.home_node, d.address, d.data_bytes, d.line_count)
+              for record_id, d in cluster.iter_records()}
+    assert actual == placed
+    assert [node.memory.allocated_bytes for node in cluster.nodes] == allocated
+
+
+class TestPlacementMatchesOneAtATime:
+    def test_ycsb(self):
+        workload = YcsbWorkload(record_count=3000)
+        cluster = make_cluster()
+        workload.populate(cluster)
+        assert_matches_reference(cluster, ycsb_records(workload))
+
+    def test_tpcc_mixed_record_sizes(self):
+        workload = TpccWorkload(warehouses=2, items=100)
+        cluster = make_cluster()
+        workload.populate(cluster)
+        assert_matches_reference(cluster, tpcc_records(workload))
+
+    def test_two_workloads_sharing_a_cluster(self):
+        ycsb = YcsbWorkload(record_count=1500)
+        tpcc = TpccWorkload(warehouses=1, items=100,
+                            record_id_base=RECORD_ID_STRIDE)
+        cluster = make_cluster(ClusterConfig(nodes=5))
+        ycsb.populate(cluster)
+        tpcc.populate(cluster)
+        assert_matches_reference(cluster,
+                                 ycsb_records(ycsb) + tpcc_records(tpcc))
+
+    def test_descriptors_come_back_in_batch_order(self):
+        cluster = make_cluster()
+        ids = [9, 2, 7, 40, 3]
+        descriptors = cluster.allocate_records(ids, 100)
+        assert [d.record_id for d in descriptors] == ids
+        assert all(cluster.record(d.record_id) is d for d in descriptors)
+
+    def test_explicit_home_places_the_whole_batch(self):
+        cluster = make_cluster()
+        descriptors = cluster.allocate_records(range(10), 64, home=2)
+        assert {d.home_node for d in descriptors} == {2}
+        assert cluster.node(2).memory.allocated_bytes == 10 * LINE_BYTES
+
+
+class TestRejectedBatches:
+    def test_duplicate_inside_batch(self):
+        cluster = make_cluster()
+        with pytest.raises(ValueError, match="record 5 already allocated"):
+            cluster.allocate_records([4, 5, 6, 5], 64)
+        # Nothing of the rejected batch was placed.
+        assert cluster.record_count == 0
+        assert all(node.memory.allocated_bytes == 0 for node in cluster.nodes)
+
+    def test_duplicate_of_an_allocated_record(self):
+        cluster = make_cluster()
+        cluster.allocate_records(range(3), 64)
+        with pytest.raises(ValueError, match="record 2 already allocated"):
+            cluster.allocate_records(range(2, 6), 64)
+        assert cluster.record_count == 3
+
+    @pytest.mark.parametrize("home", [-1, CONFIG.nodes, CONFIG.nodes + 7])
+    def test_home_outside_the_cluster(self, home):
+        cluster = make_cluster()
+        with pytest.raises(ValueError, match="outside"):
+            cluster.allocate_record(1, 64, home=home)
+        with pytest.raises(ValueError, match="outside"):
+            cluster.allocate_records([1, 2], 64, home=home)
+        assert cluster.record_count == 0
+
+    @pytest.mark.parametrize("home", [-1, 3])
+    def test_replayed_trace_with_a_bad_home(self, tmp_path, home):
+        config = ClusterConfig(nodes=3, cores_per_node=2, multiplexing=1)
+        trace = record_trace(MicroWorkload(0.5, record_count=50, seed=3),
+                             config=config, transactions_per_client=1)
+        record_id, data_bytes, _home = trace.records[0]
+        trace.records[0] = (record_id, data_bytes, home)
+        path = str(tmp_path / "bad_home.jsonl")
+        save_trace(trace, path)
+        with pytest.raises(ValueError, match=f"home node {home} outside"):
+            replay_trace("hades", load_trace(path))
+
+    def test_non_positive_size(self):
+        cluster = make_cluster()
+        with pytest.raises(ValueError):
+            cluster.allocate_records(range(4), 0)
+        assert cluster.record_count == 0
+
+
+#: Mixed record sizes: 1, 2, 16, 1 and 4 lines.
+SIZES = (64, 100, 1024, 10, 200)
+
+
+def mixed_memory(node_id=1):
+    memory = NodeMemory(node_id)
+    descriptors = [memory.allocate_record(record_id, size)
+                   for record_id, size in enumerate(SIZES)]
+    return memory, descriptors
+
+
+class TestRecordIndex:
+    def test_every_line_maps_to_its_record(self):
+        memory, descriptors = mixed_memory()
+        for descriptor in descriptors:
+            lines = descriptor.lines
+            for line in (lines[0], lines[len(lines) // 2], lines[-1]):
+                assert (memory.record_address_of_line(line)
+                        == descriptor.address)
+
+    def test_lines_outside_the_allocated_range_raise(self):
+        memory, descriptors = mixed_memory(node_id=1)
+        end = descriptors[-1].address + 4 * LINE_BYTES
+        outside = [
+            line_of(make_address(1, 0)),       # below the first record
+            line_of(make_address(0, 1 << 20)),  # another node, below
+            line_of(end),                        # just past the last record
+            line_of(end) + 1000,
+            line_of(make_address(2, LINE_BYTES)),  # another node, above
+        ]
+        for line in outside:
+            with pytest.raises(KeyError):
+                memory.record_address_of_line(line)
+
+    def test_empty_memory_has_no_records(self):
+        memory = NodeMemory(0)
+        with pytest.raises(KeyError):
+            memory.record_address_of_line(line_of(make_address(0, 64)))
+        assert not memory.has_record(make_address(0, 64))
+
+    def test_has_record_only_at_record_starts(self):
+        memory, descriptors = mixed_memory()
+        for descriptor in descriptors:
+            assert memory.has_record(descriptor.address)
+        assert not memory.has_record(descriptors[2].address + LINE_BYTES)
+        assert not memory.has_record(descriptors[-1].address + 4 * LINE_BYTES)
+
+    def test_bump_versions_counts_each_record_once(self):
+        memory, descriptors = mixed_memory()
+        big, small, four = descriptors[2], descriptors[3], descriptors[4]
+        lines = big.lines + small.lines + four.lines[1:3] + big.lines[:2]
+        assert memory.bump_versions_for_lines(lines) == 3
+        for descriptor in (big, small, four):
+            meta = memory.metadata(descriptor.address)
+            assert meta.version == 1
+            assert meta.line_versions == [1] * descriptor.line_count
+        assert memory.metadata(descriptors[0].address).version == 0
+
+
+class TestLazyMetadata:
+    def test_untouched_record_is_fresh(self):
+        memory, descriptors = mixed_memory()
+        for descriptor in descriptors:
+            meta = memory.metadata(descriptor.address)
+            assert meta.version == 0 and meta.incarnation == 0
+            assert not meta.locked and not meta.applying
+            assert meta.line_versions == [0] * descriptor.line_count
+            assert memory.metadata(descriptor.address) is meta
+
+    def test_only_touched_records_have_metadata(self):
+        memory, descriptors = mixed_memory()
+        assert memory.iter_metadata() == []
+        memory.metadata(descriptors[3].address)
+        memory.metadata(descriptors[1].address)
+        assert [address for address, _meta in memory.iter_metadata()] == [
+            descriptors[1].address, descriptors[3].address]
+
+    def test_metadata_off_a_record_start_raises(self):
+        memory, descriptors = mixed_memory()
+        with pytest.raises(KeyError):
+            memory.metadata(descriptors[2].address + LINE_BYTES)
+
+    def held_lock(self):
+        """A populated cluster with one record lock held by node 2's
+        transaction 5, on a node with no other transactional state."""
+        cluster = make_cluster()
+        cluster.allocate_records(range(400), 100)
+        record = next(d for _id, d in cluster.iter_records()
+                      if d.home_node == 0)
+        node = cluster.node(0)
+        for _id, other in list(cluster.iter_records())[:50]:
+            cluster.node(other.home_node).memory.metadata(other.address)
+        assert node.memory.metadata(record.address).try_lock((2, 5))
+        return cluster, node, record
+
+    def test_find_leaks_names_the_held_lock(self):
+        cluster, _node, record = self.held_lock()
+        assert find_leaks(cluster) == [
+            f"node 0: record lock at {record.address:#x} held by (2, 5)"]
+
+    def test_crash_wipe_releases_the_held_lock(self):
+        cluster, node, record = self.held_lock()
+        assert wipe_volatile_state(node) == 1
+        assert not node.memory.metadata(record.address).locked
+        assert find_leaks(cluster) == []
+
+    def test_scrub_releases_the_dead_owners_lock(self):
+        cluster, node, record = self.held_lock()
+        assert scrub_dead_residue(node, dead=1) == (0, set())
+        assert scrub_dead_residue(node, dead=2) == (1, {(2, 5)})
+        assert not node.memory.metadata(record.address).locked

@@ -1,5 +1,7 @@
 """Tests for record descriptors and the Fig. 1 augmented metadata."""
 
+import pickle
+
 import pytest
 
 from repro.cluster.address import LINE_BYTES, make_address
@@ -31,6 +33,27 @@ class TestRecordDescriptor:
         expected = (RECORD_HEADER_BYTES + 2 * PER_LINE_VERSION_BYTES + 128)
         assert descriptor.augmented_bytes() == expected
 
+    def test_pickle_round_trip(self):
+        descriptor = RecordDescriptor(7, make_address(3, 128), 300)
+        restored = pickle.loads(pickle.dumps(descriptor))
+        assert restored == descriptor
+        assert type(restored) is RecordDescriptor
+        assert restored.lines == descriptor.lines
+
+    def test_immutable_and_slotted(self):
+        descriptor = RecordDescriptor(1, make_address(0, 64), 128)
+        with pytest.raises(AttributeError):
+            descriptor.address = 0
+        with pytest.raises(AttributeError):
+            descriptor.extra = 1
+        assert not hasattr(descriptor, "__dict__")
+        assert descriptor == RecordDescriptor(1, make_address(0, 64), 128)
+        assert hash(descriptor) == hash(
+            RecordDescriptor(1, make_address(0, 64), 128))
+        assert repr(descriptor) == (
+            f"RecordDescriptor(record_id=1, address={make_address(0, 64)}, "
+            f"data_bytes=128)")
+
 
 class TestRecordMetadata:
     def test_fresh_metadata_consistent_and_unlocked(self):
@@ -42,6 +65,16 @@ class TestRecordMetadata:
     def test_line_count_validated(self):
         with pytest.raises(ValueError):
             RecordMetadata(0)
+
+    def test_slotted_and_picklable(self):
+        meta = RecordMetadata(3)
+        meta.complete_write()
+        meta.try_lock((1, 4))
+        assert not hasattr(meta, "__dict__")
+        restored = pickle.loads(pickle.dumps(meta))
+        assert restored.version == 1
+        assert restored.lock_owner == (1, 4)
+        assert restored.line_versions == [1, 1, 1]
 
     def test_lock_unlock(self):
         meta = RecordMetadata(1)

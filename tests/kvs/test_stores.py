@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvs import STORES, BPlusTreeStore, BTreeStore, HashTableStore, OrderedMapStore
+from repro.hardware.crc import splitmix64
+from repro.kvs import (STORES, BPlusTreeStore, BTreeStore, HashTableStore,
+                       LookupResult, OrderedMapStore)
 
 
 def make_store(kind):
@@ -98,6 +100,59 @@ class TestHashTable:
     def test_no_range_scan(self):
         with pytest.raises(NotImplementedError):
             HashTableStore(expected_keys=4).range_scan(0, 10)
+
+    @staticmethod
+    def reference_chains(pairs, bucket_count):
+        """Chains built one insert at a time: append a new key to its
+        bucket's chain, replace an existing key in place."""
+        chains = {}
+        for key, record_id in pairs:
+            chain = chains.setdefault(splitmix64(key) & (bucket_count - 1), [])
+            for position, (existing, _record) in enumerate(chain):
+                if existing == key:
+                    chain[position] = (key, record_id)
+                    break
+            else:
+                chain.append((key, record_id))
+        return {key: (record_id, 1 + position)
+                for chain in chains.values()
+                for position, (key, record_id) in enumerate(chain)}
+
+    def test_bulk_load_and_insert_give_the_same_probe_depths(self):
+        # 8 buckets for 120 pairs: long chains, repeated keys.
+        pairs = [((key * 37) % 90, key) for key in range(120)]
+        bulk = HashTableStore(expected_keys=4)
+        bulk.bulk_load(pairs)
+        single = HashTableStore(expected_keys=4)
+        for key, record_id in pairs:
+            single.insert(key, record_id)
+        expected = self.reference_chains(pairs, bulk.bucket_count)
+        for store in (bulk, single):
+            assert len(store) == len(expected) == 90
+            for key, (record_id, depth) in expected.items():
+                assert store.lookup(key) == LookupResult(record_id, depth)
+        assert bulk.max_chain_length() == single.max_chain_length() > 1
+
+    def test_duplicate_replaces_in_place(self):
+        store = HashTableStore(expected_keys=1)  # one bucket: one chain
+        store.bulk_load([(1, 10), (2, 20), (3, 30)])
+        store.bulk_load([(2, 21)])
+        store.insert(1, 11)
+        assert [store.lookup(key) for key in (1, 2, 3)] == [
+            LookupResult(11, 1), LookupResult(21, 2), LookupResult(30, 3)]
+        assert len(store) == 3
+
+    def test_never_used_buckets(self):
+        store = HashTableStore(expected_keys=64)
+        assert store.max_chain_length() == 0
+        assert not store.delete(5)
+        assert store.lookup(5) is None
+        store.insert(5, 50)
+        assert store.max_chain_length() == 1
+        assert store.delete(5)
+        assert not store.delete(5)
+        assert store.max_chain_length() == 0
+        assert len(store) == 0
 
 
 class TestBTree:
