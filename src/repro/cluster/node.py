@@ -10,8 +10,8 @@ Switches").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, KeysView, List, Optional, Set, Tuple
 
 from repro.config import ClusterConfig
 from repro.hardware.bloom import (
@@ -19,6 +19,7 @@ from repro.hardware.bloom import (
     SplitWriteBloomFilter,
     make_core_read_filter,
     make_core_write_filter,
+    scan_groups,
 )
 from repro.hardware.cache import LlcModel, PrivateCacheFilter
 from repro.hardware.directory import Directory
@@ -63,21 +64,28 @@ class CoreClock:
 
 @dataclass
 class LocalTxState:
-    """Module 3 entry: one local transaction's BF pair (+ shadow sets)."""
+    """Module 3 entry: one local transaction's BF pair."""
 
     txid: int
     read_bf: BloomFilter
     write_bf: SplitWriteBloomFilter
-    shadow_reads: Set[int] = field(default_factory=set)
-    shadow_writes: Set[int] = field(default_factory=set)
+
+    @property
+    def shadow_reads(self) -> KeysView[int]:
+        """Exact lines inserted into the read BF (read-only view) — the
+        false-positive oracle, never a conflict check."""
+        return self.read_bf.inserted_keys
+
+    @property
+    def shadow_writes(self) -> KeysView[int]:
+        """Exact lines inserted into the write BF (read-only view)."""
+        return self.write_bf.inserted_keys
 
     def record_read(self, line: int) -> None:
         self.read_bf.insert(line)
-        self.shadow_reads.add(line)
 
     def record_write(self, line: int) -> None:
         self.write_bf.insert(line)
-        self.shadow_writes.add(line)
 
 
 class LocalConflictResult:
@@ -176,19 +184,30 @@ class Node:
     def local_tx_ids(self) -> List[int]:
         return list(self._local_tx_table)
 
+    def _scan(self, lines: List[int], exclude: Optional[int],
+              writes_matter: bool) -> LocalConflictResult:
+        """Probe the other local transactions' BFs for ``lines``, each
+        transaction up to its first hit (see :func:`scan_groups`)."""
+        result = LocalConflictResult()
+        table = self._local_tx_table
+        txids = list(table)
+        if writes_matter:
+            groups = [(state.read_bf, state.write_bf)
+                      for state in table.values()]
+        else:
+            groups = [(state.read_bf,) for state in table.values()]
+        if exclude in table:
+            index = txids.index(exclude)
+            del txids[index], groups[index]
+        hits, result.checks, result.false_positive_hits = scan_groups(
+            groups, lines)
+        result.hits = len(hits)
+        result.conflicting_txids.update(txids[index] for index in hits)
+        return result
+
     def local_readers_of(self, line: int, exclude: int) -> LocalConflictResult:
         """Eager L–L write check: which other local transactions read ``line``?"""
-        result = LocalConflictResult()
-        for txid, state in self._local_tx_table.items():
-            if txid == exclude:
-                continue
-            result.checks += 1
-            if state.read_bf.might_contain(line):
-                result.hits += 1
-                if line not in state.shadow_reads:
-                    result.false_positive_hits += 1
-                result.conflicting_txids.add(txid)
-        return result
+        return self._scan([line], exclude, writes_matter=False)
 
     def check_local_conflicts(self, lines: List[int],
                               exclude: Optional[int] = None) -> LocalConflictResult:
@@ -198,20 +217,4 @@ class Node:
         addresses homed here; any local transaction whose read *or*
         write BF matches must be squashed.
         """
-        result = LocalConflictResult()
-        for txid, state in self._local_tx_table.items():
-            if txid == exclude:
-                continue
-            for line in lines:
-                result.checks += 1
-                hit_read = state.read_bf.might_contain(line)
-                hit_write = state.write_bf.might_contain(line)
-                if hit_read or hit_write:
-                    result.hits += 1
-                    truly = (line in state.shadow_reads
-                             or line in state.shadow_writes)
-                    if not truly:
-                        result.false_positive_hits += 1
-                    result.conflicting_txids.add(txid)
-                    break
-        return result
+        return self._scan(list(lines), exclude, writes_matter=True)

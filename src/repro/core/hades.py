@@ -737,14 +737,9 @@ class HadesProtocol(ProtocolBase):
         the spin still observes — and clears — the registration.
         """
         node.nic.record_remote_read(message.owner, message.lines)
-        directory = node.directory
-        owner = message.owner
-        lines = message.lines
         for _ in range(MAX_BLOCKED_RETRIES):
-            for line in lines:
-                if directory.read_blocked(line, owner):
-                    break
-            else:
+            if not node.directory.any_read_blocked(message.lines,
+                                                   message.owner):
                 break
             yield BLOCKED_RETRY_NS
         values = node.memory.read_lines(message.lines)
@@ -760,14 +755,9 @@ class HadesProtocol(ProtocolBase):
         As with reads, the BF insert is synchronous at delivery.
         """
         node.nic.record_remote_write(message.owner, message.partial_lines)
-        directory = node.directory
-        owner = message.owner
-        all_lines = message.all_lines
         for _ in range(MAX_BLOCKED_RETRIES):
-            for line in all_lines:
-                if directory.write_blocked(line, owner):
-                    break
-            else:
+            if not node.directory.any_write_blocked(message.all_lines,
+                                                    message.owner):
                 break
             yield BLOCKED_RETRY_NS
         values = node.memory.read_lines(message.partial_lines)

@@ -168,10 +168,7 @@ class HadesHybridProtocol(HadesProtocol):
         owner = ctx.owner
         for _retry in range(MAX_READ_RETRIES):
             for _spin in range(256):
-                for line in descriptor.lines:
-                    if directory.read_blocked(line, owner):
-                        break
-                else:
+                if not directory.any_read_blocked(descriptor.lines, owner):
                     break
                 self.metrics.counters.add("directory_block_spins")
                 yield BLOCKED_RETRY_NS

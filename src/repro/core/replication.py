@@ -512,14 +512,9 @@ class HadesReplicatedProtocol(HadesProtocol):
             yield from super()._serve_remote_read(node, src, message)
             return
         node.nic.record_remote_read(message.owner, message.lines)
-        directory = node.directory
-        owner = message.owner
-        lines = message.lines
         for _ in range(MAX_BLOCKED_RETRIES):
-            for line in lines:
-                if directory.read_blocked(line, owner):
-                    break
-            else:
+            if not node.directory.any_read_blocked(message.lines,
+                                                   message.owner):
                 break
             yield BLOCKED_RETRY_NS
         values = node.memory.read_lines(home_lines)
@@ -538,14 +533,9 @@ class HadesReplicatedProtocol(HadesProtocol):
             yield from super()._serve_remote_write_access(node, src, message)
             return
         node.nic.record_remote_write(message.owner, message.partial_lines)
-        directory = node.directory
-        owner = message.owner
-        all_lines = message.all_lines
         for _ in range(MAX_BLOCKED_RETRIES):
-            for line in all_lines:
-                if directory.write_blocked(line, owner):
-                    break
-            else:
+            if not node.directory.any_write_blocked(message.all_lines,
+                                                    message.owner):
                 break
             yield BLOCKED_RETRY_NS
         values = node.memory.read_lines(home_partial)

@@ -21,12 +21,18 @@ over; under zipfian workloads the two diverge sharply).
 The bit state lives in a single Python integer per section: an insert
 is one ``|=`` with a memoized per-key mask, a probe one ``&``, and
 ``clear()`` is O(1) — see :class:`repro.hardware.crc.HashFamily`.
+
+The conflict checks of the directory, the NIC and the Module 3 table
+probe many filters for a few keys.  They go through the kernels at the
+end of this module (:func:`any_might_contain`,
+:func:`any_pair_might_contain`, :func:`scan_groups`), which stay the
+only code outside the filter classes that knows the bit layout.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Set
+from typing import Dict, Iterable, KeysView, List, Sequence, Set, Tuple
 
 from repro.hardware.crc import hash_family, shared_hash_family
 
@@ -36,6 +42,9 @@ __all__ = [
     "make_core_read_filter",
     "make_core_write_filter",
     "make_nic_filter_pair",
+    "any_might_contain",
+    "any_pair_might_contain",
+    "scan_groups",
     "hash_family",
     "split_index_stats",
     "clear_split_index_caches",
@@ -75,6 +84,9 @@ class BloomFilter:
     #: Global access totals across every filter instance (energy model).
     total_read_ops = 0
     total_write_ops = 0
+    #: Bit arrays per filter; a probe or an insert costs one access per
+    #: section, hit or miss.
+    sections = 1
 
     @classmethod
     def reset_stats(cls) -> None:
@@ -96,7 +108,9 @@ class BloomFilter:
         self._bitmask = 0
         #: Raw insert count, duplicates included (each is a BF write).
         self.inserted_count = 0
-        self._keys: Set[int] = set()
+        #: Distinct keys inserted, as an insertion-ordered set: the exact
+        #: oracle that classifies a hit as true or false.
+        self._keys: Dict[int, None] = {}
 
     @property
     def distinct_inserted_count(self) -> int:
@@ -108,8 +122,11 @@ class BloomFilter:
         """
         return len(self._keys)
 
-    def _positions(self, key: int) -> List[int]:
-        return self._family.positions(key)
+    @property
+    def inserted_keys(self) -> KeysView[int]:
+        """Read-only live view of the distinct keys inserted since the
+        last :meth:`clear` (the exact oracle, never a probe)."""
+        return self._keys.keys()
 
     def insert(self, key: int) -> None:
         """Insert a key; duplicates still count toward ``inserted_count``."""
@@ -118,12 +135,22 @@ class BloomFilter:
             mask = self._family.mask(key)
         self._bitmask |= mask
         self.inserted_count += 1
-        self._keys.add(key)
+        self._keys[key] = None
         BloomFilter.total_write_ops += 1
 
     def insert_all(self, keys: Iterable[int]) -> None:
+        """Insert ``keys`` in bulk: the bits, counts and write accesses of
+        one :meth:`insert` per key."""
+        cache, family, distinct = self._mask_cache, self._family, self._keys
+        bits = self._bitmask
+        count = 0
         for key in keys:
-            self.insert(key)
+            bits |= cache.get(key) or family.mask(key)
+            distinct[key] = None
+            count += 1
+        self._bitmask = bits
+        self.inserted_count += count
+        BloomFilter.total_write_ops += count
 
     def might_contain(self, key: int) -> bool:
         """Membership test — may return false positives, never negatives."""
@@ -170,6 +197,8 @@ class SplitWriteBloomFilter:
     parallel WrTX_ID search.
     """
 
+    sections = 2
+
     def __init__(
         self,
         crc_bits: int = 512,
@@ -190,9 +219,13 @@ class SplitWriteBloomFilter:
             positions = _INDEX_POSITION_CACHES[shape] = {}
         #: Shared ``key -> WrBF2 bit position`` memo for this shape.
         self._index_positions = positions
-        self._index_bitmask = 0
+        #: WrBF2's bit array.  It is the section a probe tests first and
+        #: carries the name every filter's first array has, so the
+        #: kernels' zero test rejects an empty filter of either kind.
+        self._bitmask = 0
         self.inserted_count = 0
-        self._keys: Set[int] = set()
+        #: One key set per filter: WrBF1's, which every insert fills.
+        self._keys = self.crc_section._keys
 
     @property
     def bits(self) -> int:
@@ -210,26 +243,41 @@ class SplitWriteBloomFilter:
     def _index_position(self, key: int) -> int:
         return self._llc_index(key) % self.index_bits
 
-    def insert(self, key: int) -> None:
-        self.crc_section.insert(key)
+    def _position(self, key: int) -> int:
+        """:meth:`_index_position`, memoized in the shape's shared memo."""
         positions = self._index_positions
         position = positions.get(key)
         if position is None:
             if len(positions) >= _INDEX_CACHE_LIMIT:
                 positions.clear()
-            position = positions[key] = (
-                (key // self.line_bytes) % self.llc_sets % self.index_bits)
-        self._index_bitmask |= 1 << position
-        # The WrBF2 index-array update is a BF write access of its own
-        # (WrBF1's was counted by crc_section.insert) — the Table III
-        # energy model charges both sections.
+            position = positions[key] = self._index_position(key)
+        return position
+
+    @property
+    def inserted_keys(self) -> KeysView[int]:
+        """Read-only live view of the distinct keys inserted since the
+        last :meth:`clear`."""
+        return self._keys.keys()
+
+    def insert(self, key: int) -> None:
+        # WrBF1's write access (and the key) is recorded by its insert;
+        # the WrBF2 index-array update is a write access of its own — the
+        # Table III energy model charges both sections.
+        self.crc_section.insert(key)
+        self._bitmask |= 1 << self._position(key)
         BloomFilter.total_write_ops += 1
         self.inserted_count += 1
-        self._keys.add(key)
 
     def insert_all(self, keys: Iterable[int]) -> None:
+        """Insert ``keys`` in bulk, counted as one :meth:`insert` each."""
+        keys = list(keys)
+        self.crc_section.insert_all(keys)
+        bits = self._bitmask
         for key in keys:
-            self.insert(key)
+            bits |= 1 << self._position(key)
+        self._bitmask = bits
+        BloomFilter.total_write_ops += len(keys)
+        self.inserted_count += len(keys)
 
     def might_contain(self, key: int) -> bool:
         """Membership requires a hit in both WrBF1 and WrBF2.
@@ -238,28 +286,25 @@ class SplitWriteBloomFilter:
         one read access per section regardless of the outcome — a WrBF2
         miss does not save WrBF1's (already issued) access.
         """
-        BloomFilter.total_read_ops += 1  # WrBF2 index-array probe
-        positions = self._index_positions
-        position = positions.get(key)
-        if position is None:
-            if len(positions) >= _INDEX_CACHE_LIMIT:
-                positions.clear()
-            position = positions[key] = (
-                (key // self.line_bytes) % self.llc_sets % self.index_bits)
-        if not (self._index_bitmask >> position) & 1:
-            BloomFilter.total_read_ops += 1  # parallel WrBF1 probe
+        BloomFilter.total_read_ops += 2
+        return self._hit(key)
+
+    def _hit(self, key: int) -> bool:
+        """Uncounted membership test: the WrBF2 bit, then WrBF1's mask."""
+        if not (self._bitmask >> self._position(key)) & 1:
             return False
-        return self.crc_section.might_contain(key)
+        crc = self.crc_section
+        mask = crc._mask_cache.get(key) or crc._family.mask(key)
+        return crc._bitmask & mask == mask
 
     def clear(self) -> None:
         self.crc_section.clear()
-        self._index_bitmask = 0
+        self._bitmask = 0
         self.inserted_count = 0
-        self._keys.clear()
 
     @property
     def is_empty(self) -> bool:
-        return self.crc_section.is_empty and self._index_bitmask == 0
+        return self._bitmask == 0
 
     def enabled_llc_sets(self) -> Set[int]:
         """LLC sets that may hold lines written by the owner transaction.
@@ -269,7 +314,7 @@ class SplitWriteBloomFilter:
         tags against the transaction ID.
         """
         enabled: Set[int] = set()
-        remaining = self._index_bitmask
+        remaining = self._bitmask
         while remaining:
             low_bit = remaining & -remaining
             position = low_bit.bit_length() - 1
@@ -315,3 +360,211 @@ def make_nic_filter_pair(bloom_params) -> "tuple[BloomFilter, BloomFilter]":
     read_bf = BloomFilter(bloom_params.nic_read_bits, bloom_params.nic_hashes)
     write_bf = BloomFilter(bloom_params.nic_write_bits, bloom_params.nic_hashes)
     return read_bf, write_bf
+
+
+# -- conflict-check kernels --------------------------------------------
+#
+# The directory, NIC and Module 3 checks probe many filters for a few
+# keys.  These kernels make the decisions a loop of ``might_contain``
+# calls would, but look each key's mask (or WrBF2 bit) up once per hash
+# family per call, test a filter with one ``&`` against its live bit
+# array and reject an empty filter with a zero test.  Filters are read
+# at probe time, never copied: a locked filter may still gain keys.
+# Each kernel charges ``total_read_ops`` exactly what its reference
+# loop (in the docstring) would, short-circuits included: one access
+# per section per probe, hit or miss.
+
+
+def _key_masks(family, keys: Sequence[int], memo: dict) -> List[int]:
+    """``family``'s mask of each of ``keys``, looked up once per call."""
+    masks = memo.get(family)
+    if masks is None:
+        cache = family._masks
+        masks = memo[family] = [cache.get(key) or family.mask(key)
+                                for key in keys]
+    return masks
+
+
+def _first_hit(filt, keys: Sequence[int], memo: dict, limit: int) -> int:
+    """Index of the first of ``keys[:limit]`` that ``filt`` might contain,
+    else ``limit``.
+
+    Uncounted.  ``memo`` holds the call's masks (per hash family) and
+    WrBF2 positions (per split shape) of ``keys``; WrBF1 masks are looked
+    up only for keys whose WrBF2 bit is set.
+    """
+    bits = filt._bitmask
+    if not bits:
+        return limit
+    if filt.sections == 1:
+        masks = _key_masks(filt._family, keys, memo)
+        for index in range(limit):
+            mask = masks[index]
+            if bits & mask == mask:
+                return index
+        return limit
+    shape = id(filt._index_positions)
+    positions = memo.get(shape)
+    if positions is None:
+        positions = memo[shape] = [filt._position(key) for key in keys]
+    crc = filt.crc_section
+    for index in range(limit):
+        if bits >> positions[index] & 1:
+            key = keys[index]
+            mask = crc._mask_cache.get(key) or crc._family.mask(key)
+            if crc._bitmask & mask == mask:
+                return index
+    return limit
+
+
+def any_might_contain(filters: Sequence, key: int) -> bool:
+    """Might any of ``filters`` contain ``key``?
+
+    Reference loop: ``any(f.might_contain(key) for f in filters)`` —
+    in order, stopping at the first hit.
+    """
+    accesses = 0
+    family = mask = None
+    for filt in filters:
+        sections = filt.sections
+        accesses += sections
+        bits = filt._bitmask
+        if not bits:
+            continue
+        if sections == 1:
+            if filt._family is not family:
+                family = filt._family
+                mask = family._masks.get(key) or family.mask(key)
+            if bits & mask == mask:
+                break
+        elif filt._hit(key):
+            break
+    else:
+        BloomFilter.total_read_ops += accesses
+        return False
+    BloomFilter.total_read_ops += accesses
+    return True
+
+
+def any_pair_might_contain(filters: Sequence, keys: Sequence[int]) -> bool:
+    """Might any (read, write) pair contain any of ``keys``?
+
+    ``filters`` alternates the pairs' filters: ``(r0, w0, r1, w1, ...)``.
+    Reference loop, pair-major::
+
+        for r, w in pairs:
+            for key in keys:
+                if r.might_contain(key) or w.might_contain(key):
+                    return True
+        return False
+    """
+    count = len(keys)
+    if not count:
+        return False
+    memo: dict = {}
+    accesses = 0
+    for index in range(0, len(filters), 2):
+        read_bf, write_bf = filters[index], filters[index + 1]
+        both = read_bf.sections + write_bf.sections
+        read_hit = _first_hit(read_bf, keys, memo, count)
+        # Only a write-filter hit before the read filter's first hit
+        # counts: at that key ``or`` skips the write filter's probe.
+        write_hit = _first_hit(write_bf, keys, memo, read_hit)
+        if write_hit < read_hit:
+            accesses += write_hit * both + both
+        elif read_hit < count:
+            accesses += read_hit * both + read_bf.sections
+        else:
+            accesses += count * both
+            continue
+        BloomFilter.total_read_ops += accesses
+        return True
+    BloomFilter.total_read_ops += accesses
+    return False
+
+
+def scan_groups(groups: Sequence[Sequence],
+                keys: Sequence[int]) -> Tuple[List[int], int, int]:
+    """Scan each group of filters up to the first key it might contain.
+
+    Reference loop, group-major, every filter of a group probed per key::
+
+        for group in groups:
+            for key in keys:
+                checks += 1
+                if any([f.might_contain(key) for f in group]):
+                    record the hit; break
+
+    Returns the indices of the groups with a hit (in group order), the
+    checks made, and the false-positive hits: hits on a key that no
+    filter of the group has had inserted.
+    """
+    if len(keys) == 1:
+        return _scan_one(groups, keys[0])
+    memo: dict = {}
+    family = masks = None
+    count = len(keys)
+    hits: List[int] = []
+    checks = accesses = false_positives = 0
+    for index, group in enumerate(groups):
+        first = count
+        sections = 0
+        for filt in group:
+            size = filt.sections
+            sections += size
+            bits = filt._bitmask
+            if not bits:
+                continue
+            if size == 2:
+                first = _first_hit(filt, keys, memo, first)
+                continue
+            # A plain filter, inline: this loop runs per group per call.
+            if filt._family is not family:
+                family = filt._family
+                masks = _key_masks(family, keys, memo)
+            for position in range(first):
+                mask = masks[position]
+                if bits & mask == mask:
+                    first = position
+                    break
+        if first == count:
+            checks += count
+            accesses += count * sections
+            continue
+        checks += first + 1
+        accesses += (first + 1) * sections
+        hits.append(index)
+        key = keys[first]
+        if not any(key in filt._keys for filt in group):
+            false_positives += 1
+    BloomFilter.total_read_ops += accesses
+    return hits, checks, false_positives
+
+
+def _scan_one(groups: Sequence[Sequence],
+              key: int) -> Tuple[List[int], int, int]:
+    """:func:`scan_groups` for a single key: one check per group."""
+    family = mask = None
+    hits: List[int] = []
+    accesses = false_positives = 0
+    for index, group in enumerate(groups):
+        hit = False
+        for filt in group:
+            size = filt.sections
+            accesses += size
+            bits = filt._bitmask
+            if hit or not bits:
+                continue
+            if size == 2:
+                hit = filt._hit(key)
+                continue
+            if filt._family is not family:
+                family = filt._family
+                mask = family._masks.get(key) or family.mask(key)
+            hit = bits & mask == mask
+        if hit:
+            hits.append(index)
+            if not any(key in filt._keys for filt in group):
+                false_positives += 1
+    BloomFilter.total_read_ops += accesses
+    return hits, len(groups), false_positives

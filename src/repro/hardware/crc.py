@@ -114,11 +114,6 @@ class HashFamily:
                        for i in range(count)]
         self._masks: dict = {}
 
-    def positions(self, key: int) -> List[int]:
-        """Bit positions for ``key`` — identical to :func:`hash_family`."""
-        modulus = self.modulus
-        return [splitmix64(key ^ seed) % modulus for seed in self._seeds]
-
     def mask(self, key: int) -> int:
         """OR of ``1 << position`` over this key's hash positions."""
         mask = self._masks.get(key)

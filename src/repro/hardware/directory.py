@@ -5,8 +5,8 @@ This models Modules 2 and the Locking Buffers of Fig. 7 (Section V-B):
 * **WrTX_ID tags** record, per cache line, the in-progress local
   transaction that speculatively wrote it — used for eager L–L conflict
   detection and for collecting a committing transaction's write set.
-* **Locking Buffers** hold snapshots of a committing transaction's
-  (read BF, write BF).  While installed, any read whose address hits a
+* **Locking Buffers** hold a committing transaction's (read BF,
+  write BF).  While installed, any read whose address hits a
   locked write BF, or any write whose address hits a locked read or
   write BF, is denied — this is how HADES serializes commits and how it
   guarantees multi-line read atomicity without version checks.
@@ -21,13 +21,23 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.hardware.bloom import BloomFilter, SplitWriteBloomFilter
+from repro.hardware.bloom import (
+    BloomFilter,
+    any_might_contain,
+    any_pair_might_contain,
+)
 
 FilterLike = object  # BloomFilter | SplitWriteBloomFilter (duck-typed)
 
 
 class LockingBuffer:
-    """One installed partial lock: the owner's BF snapshot."""
+    """One installed partial lock: the owner's BFs.
+
+    The filters are the live objects, not copies: a lock blocks what its
+    owner's filters hold at each probe.
+    """
+
+    __slots__ = ("owner", "read_bf", "write_bf")
 
     def __init__(self, owner: Tuple[int, int], read_bf: FilterLike,
                  write_bf: FilterLike):
@@ -36,12 +46,6 @@ class LockingBuffer:
         self.owner = owner
         self.read_bf = read_bf
         self.write_bf = write_bf
-
-    def blocks_read(self, line: int) -> bool:
-        return self.write_bf.might_contain(line)
-
-    def blocks_write(self, line: int) -> bool:
-        return self.read_bf.might_contain(line) or self.write_bf.might_contain(line)
 
 
 class Directory:
@@ -53,6 +57,12 @@ class Directory:
         self.max_locking_buffers = locking_buffers
         self.partial = partial
         self._buffers: List[LockingBuffer] = []
+        # The buffers as the Bloom kernels take them, kept in step with
+        # ``_buffers``: owner -> position, the write filters, and the
+        # (read, write) pairs flattened.
+        self._slots: Dict[Tuple[int, int], int] = {}
+        self._write_bfs: tuple = ()
+        self._pair_bfs: tuple = ()
         self._writer_tags: Dict[int, int] = {}
         self._lines_by_tx: Dict[int, Set[int]] = {}
         self.lock_attempts = 0
@@ -89,7 +99,7 @@ class Directory:
     # -- Locking Buffers (Fig. 7) -------------------------------------
 
     def holds_lock(self, owner: Tuple[int, int]) -> bool:
-        return any(buffer.owner == owner for buffer in self._buffers)
+        return owner in self._slots
 
     @property
     def active_locks(self) -> int:
@@ -119,54 +129,88 @@ class Directory:
         if len(self._buffers) >= self.max_locking_buffers:
             self.lock_failures += 1
             return False
-        for buffer in self._buffers:
-            for line in write_lines:
-                if buffer.blocks_write(line):
-                    self.lock_failures += 1
-                    return False
+        # Each installed buffer blocks a write that hits its read or its
+        # write BF (buffer by buffer, line by line).
+        if any_pair_might_contain(self._pair_bfs, write_lines):
+            self.lock_failures += 1
+            return False
+        self._slots[owner] = len(self._buffers)
         self._buffers.append(LockingBuffer(owner, read_bf, write_bf))
+        self._write_bfs += (write_bf,)
+        self._pair_bfs += (read_bf, write_bf)
         return True
 
     def unlock(self, owner: Tuple[int, int]) -> None:
         """Remove ``owner``'s Locking Buffer (commit Step 6 / squash)."""
-        self._buffers = [b for b in self._buffers if b.owner != owner]
+        slot = self._slots.pop(owner, None)
+        if slot is None:
+            return
+        buffers = self._buffers
+        del buffers[slot]
+        for later in range(slot, len(buffers)):
+            self._slots[buffers[later].owner] = later
+        self._write_bfs = self._write_bfs[:slot] + self._write_bfs[slot + 1:]
+        self._pair_bfs = (self._pair_bfs[:2 * slot]
+                          + self._pair_bfs[2 * slot + 2:])
+
+    def _locked_by_other(self, requester: Optional[Tuple[int, int]]) -> bool:
+        """Whole-directory locking: any buffer not ``requester``'s blocks."""
+        return len(self._buffers) > (1 if requester in self._slots else 0)
 
     def read_blocked(self, line: int, requester: Optional[Tuple[int, int]] = None) -> bool:
         """Would a read of ``line`` be denied right now?
 
-        Spin loops call this once per blocked line per retry, so the
-        probes are inlined plain loops — same short-circuit order (and
-        hence the same energy-model access counts) as the BF checks a
-        ``LockingBuffer`` would make, without generator overhead.
+        Yes if another transaction's locked write BF might contain it.
         """
-        buffers = self._buffers
-        if not buffers:
+        if not self._buffers:
             return False
         if not self.partial:
-            for buffer in buffers:
-                if buffer.owner != requester:
-                    return True
+            return self._locked_by_other(requester)
+        filters = self._write_bfs
+        slot = self._slots.get(requester)
+        if slot is not None:  # a transaction's own lock never blocks it
+            filters = filters[:slot] + filters[slot + 1:]
+        return any_might_contain(filters, line)
+
+    def write_blocked(self, line: int, requester: Optional[Tuple[int, int]] = None) -> bool:
+        """Would a write of ``line`` be denied right now?
+
+        Yes if another transaction's locked read or write BF might
+        contain it (read BF first, buffer by buffer).
+        """
+        if not self._buffers:
             return False
-        for buffer in buffers:
-            if (buffer.owner != requester
-                    and buffer.write_bf.might_contain(line)):
+        if not self.partial:
+            return self._locked_by_other(requester)
+        filters = self._pair_bfs
+        slot = self._slots.get(requester)
+        if slot is not None:
+            filters = filters[:2 * slot] + filters[2 * slot + 2:]
+        return any_might_contain(filters, line)
+
+    def any_read_blocked(self, lines: Iterable[int],
+                         requester: Optional[Tuple[int, int]] = None) -> bool:
+        """Would a read of any of ``lines`` be denied right now?
+
+        One :meth:`read_blocked` per line, in order, up to the first
+        blocked line — the check every spin loop repeats.
+        """
+        read_blocked = self.read_blocked
+        for line in lines:
+            if read_blocked(line, requester):
                 return True
         return False
 
-    def write_blocked(self, line: int, requester: Optional[Tuple[int, int]] = None) -> bool:
-        """Would a write of ``line`` be denied right now?"""
-        buffers = self._buffers
-        if not buffers:
-            return False
-        if not self.partial:
-            for buffer in buffers:
-                if buffer.owner != requester:
-                    return True
-            return False
-        for buffer in buffers:
-            if buffer.owner != requester and (
-                    buffer.read_bf.might_contain(line)
-                    or buffer.write_bf.might_contain(line)):
+    def any_write_blocked(self, lines: Iterable[int],
+                          requester: Optional[Tuple[int, int]] = None) -> bool:
+        """Would a write of any of ``lines`` be denied right now?
+
+        One :meth:`write_blocked` per line, in order, up to the first
+        blocked line.
+        """
+        write_blocked = self.write_blocked
+        for line in lines:
+            if write_blocked(line, requester):
                 return True
         return False
 
@@ -182,6 +226,8 @@ class Directory:
         and WrTX_ID tag is lost.  Returns the number of entries dropped."""
         dropped = len(self._buffers) + len(self._writer_tags)
         self._buffers.clear()
+        self._slots.clear()
+        self._write_bfs = self._pair_bfs = ()
         self._writer_tags.clear()
         self._lines_by_tx.clear()
         return dropped

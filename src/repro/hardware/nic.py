@@ -6,9 +6,9 @@ Each node's NIC holds:
   in-progress *remote* transaction that has accessed data homed in this
   node, tagged by (origin node, txid).  These are real
   :class:`~repro.hardware.bloom.BloomFilter` instances, so conflict
-  checks exhibit genuine false positives; exact shadow sets are kept
-  *only* to classify a hit as true/false for the Section VIII-C
-  characterization — the protocol never consults them.
+  checks exhibit genuine false positives; each filter's exact key set
+  serves *only* to classify a hit as true/false for the Section VIII-C
+  characterization — the protocol never consults it.
 * **Module 4b** — per *local* transaction: the remote line addresses it
   wrote grouped by home node (with the buffered values), plus the set of
   remote nodes involved in the transaction.  Consumed at commit to build
@@ -23,23 +23,31 @@ intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, Iterable, KeysView, List, NamedTuple, Optional,
+                    Set, Tuple)
 
-from repro.hardware.bloom import BloomFilter
+from repro.hardware.bloom import BloomFilter, scan_groups
 
 Owner = Tuple[int, int]  # (origin node id, transaction id)
 
 
-@dataclass
-class RemoteTxState:
-    """Module 4a state for one remote transaction."""
+class RemoteTxState(NamedTuple):
+    """Module 4a state for one remote transaction: its BF pair, which is
+    also the filter group a conflict scan probes."""
 
     read_bf: BloomFilter
     write_bf: BloomFilter
-    #: Exact keys inserted into each BF — oracle for false-positive
-    #: classification only.
-    shadow_reads: Set[int] = field(default_factory=set)
-    shadow_writes: Set[int] = field(default_factory=set)
+
+    @property
+    def shadow_reads(self) -> KeysView[int]:
+        """Exact keys inserted into the read BF (read-only view) — oracle
+        for false-positive classification only."""
+        return self.read_bf.inserted_keys
+
+    @property
+    def shadow_writes(self) -> KeysView[int]:
+        """Exact keys inserted into the write BF (read-only view)."""
+        return self.write_bf.inserted_keys
 
 
 @dataclass
@@ -97,10 +105,7 @@ class Nic:
         return owner in self._remote
 
     def record_remote_read(self, owner: Owner, lines: Iterable[int]) -> None:
-        state = self.remote_state(owner)
-        for line in lines:
-            state.read_bf.insert(line)
-            state.shadow_reads.add(line)
+        self.remote_state(owner).read_bf.insert_all(lines)
 
     def record_remote_write(self, owner: Owner, partial_lines: Iterable[int]) -> None:
         """Insert only *partially written* lines, per the protocol.
@@ -109,10 +114,7 @@ class Nic:
         Remote Write): their conflicts are caught by the writer's own
         commit-time checks using the exact address list.
         """
-        state = self.remote_state(owner)
-        for line in partial_lines:
-            state.write_bf.insert(line)
-            state.shadow_writes.add(line)
+        self.remote_state(owner).write_bf.insert_all(partial_lines)
 
     def clear_remote(self, owner: Owner) -> None:
         """Validation received or squash: drop the BF pair (commit Step 5)."""
@@ -131,25 +133,23 @@ class Nic:
 
         Used at commit: a committing transaction's written lines are
         probed against all other remote transactions' read *and* write
-        BFs (Table II, commit Steps 2 at x and 2 at y).
+        BFs (Table II, commit Steps 2 at x and 2 at y).  Each owner's
+        BFs are probed line by line up to the first hit, which is enough
+        to squash it; a hit is false if the owner never inserted the line
+        into a BF that was probed.
         """
         result = ConflictCheckResult()
-        line_list = list(lines)
-        for owner, state in self._remote.items():
-            if owner == exclude:
-                continue
-            for line in line_list:
-                result.checks += 1
-                hit_read = reads_matter and state.read_bf.might_contain(line)
-                hit_write = state.write_bf.might_contain(line)
-                if hit_read or hit_write:
-                    result.hits += 1
-                    truly_read = line in state.shadow_reads
-                    truly_written = line in state.shadow_writes
-                    if not ((hit_read and truly_read) or (hit_write and truly_written)):
-                        result.false_positive_hits += 1
-                    result.conflicting_owners.add(owner)
-                    break  # one hit is enough to squash this owner
+        owners = list(self._remote)
+        groups: list = list(self._remote.values())
+        if exclude in self._remote:
+            index = owners.index(exclude)
+            del owners[index], groups[index]
+        if not reads_matter:
+            groups = [(state.write_bf,) for state in groups]
+        hits, result.checks, result.false_positive_hits = scan_groups(
+            groups, list(lines))
+        result.hits = len(hits)
+        result.conflicting_owners.update(owners[index] for index in hits)
         return result
 
     # -- Module 4b: local transactions' remote footprint ---------------
