@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.config import ClusterConfig
 from repro.cluster.node import Node
 from repro.cluster.record import RecordDescriptor
-from repro.hardware.crc import splitmix64
+from repro.hardware.crc import splitmix64, splitmix64_lanes
 from repro.net.fabric import Fabric
 from repro.sim.engine import Engine
 
@@ -78,7 +78,8 @@ class Cluster:
                     raise ValueError(f"record {record_id} already allocated")
                 seen.add(record_id)
         if home is None:
-            homes = list(map(self.home_of, record_ids))
+            # home_of for the whole batch, hashed in one kernel call.
+            homes = [hashed % nodes for hashed in splitmix64_lanes(record_ids)]
         else:
             homes = [home] * len(record_ids)
         shares: List[List[int]] = [[] for _ in range(nodes)]

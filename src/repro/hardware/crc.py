@@ -1,15 +1,25 @@
-"""CRC hashing for Bloom filters.
+"""Hashing for Bloom filters, record placement and hash-index buckets.
 
 The paper fills WrBF1 "by hashing addresses using a conventional hash
-function (e.g., CRC)" (Section V-C, citing Peterson & Brown).  We
-implement table-driven CRC-32C (Castagnoli polynomial) from scratch and
-derive independent hash functions from it by salting the input — the
-standard Kirsch–Mitzenmacher-style construction for Bloom filters.
+function (e.g., CRC)" (Section V-C, citing Peterson & Brown), and
+hardware would run one CRC unit per hash function, each with its own
+polynomial.  The simulator hashes with seeded SplitMix64 instead: CRC
+with a single polynomial is GF(2)-linear, so differently-seeded
+instances differ only by a constant, which ruins Bloom-filter
+independence (see :func:`hash_family`).  :class:`HashFamily` turns the
+seeded hashes into per-key Bloom bit masks.  Record placement
+(:meth:`repro.cluster.cluster.Cluster.home_of`) and the hash index's
+buckets (:class:`repro.kvs.hashtable.HashTableStore`) use unseeded
+:func:`splitmix64`, which :func:`splitmix64_lanes` computes for a whole
+batch at once.  A table-driven CRC-32C (Castagnoli polynomial) is kept
+as a reference implementation; the simulator does not call it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+import sys
+from array import array
+from typing import Callable, List, Sequence
 
 #: CRC-32C (Castagnoli) reversed polynomial — good dispersion, widely
 #: implemented in hardware.
@@ -54,6 +64,51 @@ def splitmix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+#: 128-bit lanes in little-endian bytes: a lane mask of 64 one bits
+#: under 64 zeros, and SplitMix64's increment in a lane's low half.
+_LANE_LOW_BYTES = b"\xff" * 8 + bytes(8)
+_INCREMENT_LANE = (0x9E3779B97F4A7C15).to_bytes(8, "little") + bytes(8)
+
+
+def splitmix64_lanes(values: Sequence[int]) -> List[int]:
+    """``[splitmix64(v) for v in values]``, one big-int step per batch.
+
+    The batch is packed into one Python int, value ``i`` in the low 64
+    bits of the 128-bit lane ``i``, and each mixing step runs on every
+    lane at once as one big-int operation followed by a mask back to
+    each lane's low 64 bits.  No step carries from one lane into the
+    next: a lane holds less than ``2**64`` before every step, so adding
+    the 64-bit increment stays below ``2**65`` and multiplying by a
+    64-bit constant stays below ``2**128``; a right shift by 27-31 bits
+    moves the next lane's low bits only into bits 97-127 of this lane,
+    which the mask clears.  Like :func:`splitmix64`, the input is
+    reduced mod ``2**64`` first, so negative values and values of
+    ``2**64`` or more hash as the scalar hashes them.
+    """
+    try:
+        low = array("Q", values)
+    except OverflowError:
+        low = array("Q", [value & _MASK64 for value in values])
+    count = len(low)
+    if not count:
+        return []
+    lanes = array("Q", bytes(16 * count))
+    lanes[::2] = low
+    if sys.byteorder != "little":
+        lanes.byteswap()
+    mask = int.from_bytes(_LANE_LOW_BYTES * count, "little")
+    increment = int.from_bytes(_INCREMENT_LANE * count, "little")
+    z = (int.from_bytes(lanes, "little") + increment) & mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    z = (z ^ (z >> 31)) & mask
+    lanes = array("Q")
+    lanes.frombytes(z.to_bytes(16 * count, "little"))
+    if sys.byteorder != "little":
+        lanes.byteswap()
+    return lanes[::2].tolist()
 
 
 def hash_family(count: int, modulus: int) -> List[Callable[[int], int]]:

@@ -30,6 +30,23 @@ the contract each entry must honor:
   **Safe to share; kept warm across runs.**
 * The CRC lookup table (``repro.hardware.crc._TABLE``) and similar
   computed constants — immutable after import, trivially safe.
+* :mod:`gc` — the cyclic garbage collector.  Building a run allocates
+  many long-lived objects and no garbage cycles, so
+  :func:`~repro.runner.run_experiment` keeps the collector **paused
+  while it builds** the cluster, protocol, population and client
+  drivers, **freezes the built model** (:func:`gc.freeze`) before the
+  simulation starts so the simulation's collections never rescan it,
+  and **restores both on every exit**, return or raise: the caller's
+  ``gc.isenabled()`` and a freeze count of zero (:func:`gc.unfreeze`).
+  A caller that froze objects itself keeps them frozen: the run then
+  neither freezes nor unfreezes.  A finished model is cyclic garbage
+  that only a full collection frees, and the next run's freeze would
+  keep it, so a run collects fully before it builds when an earlier run
+  unfroze a model and no full collection has run since
+  (``repro.runner._full_collections_at_unfreeze``); the first run in a
+  process, and any run whose caller paused the collector, makes no
+  collection of its own.  Collection never changes a simulated result;
+  the collector's state is reported by :func:`process_state_report`.
 
 Everything else an experiment touches (engine, cluster, protocol,
 metrics, workloads, fault injectors, recovery managers) is constructed
@@ -43,17 +60,21 @@ or be registered in :func:`reset_process_caches`.
 
 from __future__ import annotations
 
+import gc
 from typing import Dict
 
 
 def process_state_report() -> Dict[str, object]:
-    """Sizes of every known process-wide cache/counter, for the audit
-    tests and for memory diagnostics of long-lived sweep workers."""
+    """Sizes of every known process-wide cache/counter, and the cyclic
+    collector's state, for the audit tests and for memory diagnostics
+    of long-lived sweep workers."""
     from repro.hardware.bloom import BloomFilter, split_index_stats
     from repro.hardware.crc import shared_family_stats
     from repro.sim.random import zipfian_scramble_stats
 
     return {
+        "gc_enabled": gc.isenabled(),
+        "gc_frozen_objects": gc.get_freeze_count(),
         "hash_family_masks": shared_family_stats(),
         "bloom_total_read_ops": BloomFilter.total_read_ops,
         "bloom_total_write_ops": BloomFilter.total_write_ops,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.hardware.crc import splitmix64
+from repro.hardware.crc import splitmix64, splitmix64_lanes
 from repro.kvs.base import KeyValueStore, LookupResult
 
 
@@ -46,11 +46,14 @@ class HashTableStore(KeyValueStore):
 
     def bulk_load(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Insert pairs in order: a new key goes to the end of its chain,
-        an existing key is replaced in place."""
+        an existing key is replaced in place.  The batch's bucket
+        indices are hashed in one :func:`splitmix64_lanes` call."""
+        pairs = list(pairs)
         buckets = self._buckets
         mask = self.bucket_count - 1
-        for key, record_id in pairs:
-            index = splitmix64(key) & mask
+        hashes = splitmix64_lanes([key for key, _record in pairs])
+        for (key, record_id), hashed in zip(pairs, hashes):
+            index = hashed & mask
             bucket = buckets[index]
             if bucket is None:
                 buckets[index] = [(key, record_id)]

@@ -14,6 +14,7 @@ space-shared environment.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -92,6 +93,17 @@ class ExperimentResult:
         return self.metrics.latency.p95()
 
 
+#: Full collections the process had made when the last run unfroze its
+#: model; None before any run froze one.  While no full collection has
+#: run since, that model may linger as cyclic garbage, and each later
+#: run's freeze would keep it for one more run.
+_full_collections_at_unfreeze: Optional[int] = None
+
+
+def _full_collections() -> int:
+    return gc.get_stats()[-1]["collections"]
+
+
 def build_protocol(name: str, cluster: Cluster,
                    metrics: Optional[RunMetrics] = None, seed: int = 1):
     """Instantiate a protocol by registry name."""
@@ -156,143 +168,169 @@ def run_experiment(
     bloom_reads_before = BloomFilter.total_read_ops
     bloom_writes_before = BloomFilter.total_write_ops
 
-    engine = create_engine()
-    cluster = Cluster(engine, config, llc_sets=llc_sets)
-    metrics = RunMetrics(bounded_latency=bounded_latency)
-    proto = build_protocol(protocol, cluster, metrics=metrics, seed=seed)
-    per_workload = {workload.name: RunMetrics(bounded_latency=bounded_latency)
-                    for workload in workloads}
-    if tracer is not None:
-        engine.tracer = tracer
-        cluster.fabric.tracer = tracer
-        proto.tracer = tracer
-    if message_stats is not None:
-        cluster.fabric.stats = message_stats
-    if spans is not None:
-        spans.reset()
-        spans.protocol = proto.name
-        proto.spans = spans
-        cluster.fabric.spans = spans
-    injector = None
-    if fault_plan is not None and fault_plan.enabled:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(fault_plan, tracer=tracer)
-        cluster.fabric.faults = injector
-        proto.faults = injector
+    # Building allocates many long-lived objects and no garbage cycles,
+    # so the cyclic collector is paused until the model is built; see
+    # repro.isolation for the contract and docs/PERFORMANCE.md for the
+    # measurements.  A caller that froze objects itself keeps them
+    # frozen: the run then neither freezes nor unfreezes.
+    global _full_collections_at_unfreeze
+    collecting = gc.isenabled()
+    freezing = gc.get_freeze_count() == 0
+    if (collecting and freezing
+            and _full_collections_at_unfreeze == _full_collections()):
+        # An earlier run's model may be cyclic garbage that no full
+        # collection has freed yet; this run's freeze would keep it.
+        gc.collect()
+    gc.disable()
+    try:
+        engine = create_engine()
+        cluster = Cluster(engine, config, llc_sets=llc_sets)
+        metrics = RunMetrics(bounded_latency=bounded_latency)
+        proto = build_protocol(protocol, cluster, metrics=metrics, seed=seed)
+        per_workload = {
+            workload.name: RunMetrics(bounded_latency=bounded_latency)
+            for workload in workloads}
+        if tracer is not None:
+            engine.tracer = tracer
+            cluster.fabric.tracer = tracer
+            proto.tracer = tracer
+        if message_stats is not None:
+            cluster.fabric.stats = message_stats
         if spans is not None:
-            injector.spans = spans
-        # Arm timeout recovery: a dropped request/reply resolves with
-        # TIMED_OUT and the protocol squash-and-retries.
-        proto.replies.default_timeout_ns = fault_plan.effective_timeout_ns(
-            config.network)
-
-    for workload in workloads:
-        workload.populate(cluster)
-
-    recovery_manager = None
-    if (injector is not None and config.recovery.enabled
-            and fault_plan.crashes):
-        from repro.recovery.manager import RecoveryManager
-
-        # Installed after populate: seeding replica stores needs the
-        # workload's records in place.
-        recovery_manager = RecoveryManager(proto, fault_plan,
-                                           config.recovery, tracer=tracer)
-        recovery_manager.install()
-        if spans is not None:
-            recovery_manager.spans = spans
-
-    # One driver per transaction slot; slots are partitioned round-robin
-    # between the workloads of a mix (space sharing).  With the open-loop
-    # load layer enabled the closed-loop drivers are replaced wholesale:
-    # arrivals feed bounded admission queues that the same (node, slot)
-    # worker grid drains (docs/LOAD.md).
-    load_driver = None
-    if config.load.enabled:
-        from repro.load.driver import OpenLoopDriver
-
-        load_driver = OpenLoopDriver(proto, workloads, per_workload,
-                                     seed=seed)
-        load_driver.start()
-    else:
-        for node in cluster.nodes:
-            for slot in range(config.transactions_per_node):
-                workload = workloads[slot % len(workloads)]
-                rng = DeterministicRandom(f"{seed}:{node.node_id}:{slot}")
-                engine.process(
-                    _client_driver(proto, workload, node.node_id, slot, rng,
-                                   per_workload[workload.name]),
-                    name=f"client-n{node.node_id}-s{slot}",
-                )
-
-    if warmup_ns > 0:
-        engine.run(until=warmup_ns)
-        _reset_metrics(metrics)
-        for workload_metrics in per_workload.values():
-            _reset_metrics(workload_metrics)
-        if spans is not None:
-            # Warm-up spans are discarded along with the warm-up metrics.
             spans.reset()
-        if load_driver is not None:
-            # Queue contents / latch / controller mode persist (they are
-            # system state); only the transient-era numbers are dropped.
-            load_driver.reset_stats()
-    sampler = None
-    if sample_interval_ns is not None:
-        # Installed after the warm-up so the series starts at the same
-        # point the aggregates measure from.
-        sampler = TimeSeriesSampler(sample_interval_ns)
-        engine.process(sampler.run(engine, proto, metrics, cluster),
-                       name="sampler")
-    if telemetry is None and config.telemetry.enabled:
-        telemetry = TelemetrySampler(
-            interval_ns=config.telemetry.interval_ns,
-            retain=config.telemetry.retain)
-    if telemetry is not None:
-        # Installed after the warm-up like the time-series sampler; the
-        # sampler reads state, never mutates it, so the run's results
-        # stay bit-identical to a telemetry-off run.
-        telemetry.install(engine, proto, metrics, cluster,
-                          load_driver=load_driver,
-                          recovery_manager=recovery_manager,
-                          spans=spans)
-    engine.run(until=warmup_ns + duration_ns)
+            spans.protocol = proto.name
+            proto.spans = spans
+            cluster.fabric.spans = spans
+        injector = None
+        if fault_plan is not None and fault_plan.enabled:
+            from repro.faults.injector import FaultInjector
 
-    metrics.elapsed_ns = duration_ns
-    for workload_metrics in per_workload.values():
-        workload_metrics.elapsed_ns = duration_ns
-    workload_name = (workloads[0].name if len(workloads) == 1
-                     else "+".join(w.name for w in workloads))
-    load_summary = None
-    if load_driver is not None:
-        load_driver.finalize()
-        load_summary = load_driver.stats.as_dict()
-    slo_report = None
-    if config.slo.enabled:
-        # Open loop: the user-visible latency is sojourn (arrival →
-        # commit, queue wait included), so the SLO judges that; closed
-        # loop keeps the protocol service latency.
-        slo_target = (load_driver.stats.sojourn if load_driver is not None
-                      else metrics.latency)
-        slo_report = config.slo.evaluate(slo_target)
-    return ExperimentResult(protocol=protocol, workload=workload_name,
-                            config=config, metrics=metrics,
-                            per_workload=per_workload,
-                            samples=sampler.samples if sampler else None,
-                            message_stats=message_stats,
-                            spans=spans, slo=slo_report, load=load_summary,
-                            telemetry=telemetry,
-                            fault_summary=(injector.summary()
-                                           if injector is not None else None),
-                            recovery_summary=(recovery_manager.summary()
-                                              if recovery_manager is not None
-                                              else None),
-                            events_processed=engine.events_processed,
-                            bloom_read_ops=(BloomFilter.total_read_ops
-                                            - bloom_reads_before),
-                            bloom_write_ops=(BloomFilter.total_write_ops
-                                             - bloom_writes_before))
+            injector = FaultInjector(fault_plan, tracer=tracer)
+            cluster.fabric.faults = injector
+            proto.faults = injector
+            if spans is not None:
+                injector.spans = spans
+            # Arm timeout recovery: a dropped request/reply resolves with
+            # TIMED_OUT and the protocol squash-and-retries.
+            proto.replies.default_timeout_ns = fault_plan.effective_timeout_ns(
+                config.network)
+
+        for workload in workloads:
+            workload.populate(cluster)
+
+        recovery_manager = None
+        if (injector is not None and config.recovery.enabled
+                and fault_plan.crashes):
+            from repro.recovery.manager import RecoveryManager
+
+            # Installed after populate: seeding replica stores needs the
+            # workload's records in place.
+            recovery_manager = RecoveryManager(proto, fault_plan,
+                                               config.recovery, tracer=tracer)
+            recovery_manager.install()
+            if spans is not None:
+                recovery_manager.spans = spans
+
+        # One driver per transaction slot; slots are partitioned round-robin
+        # between the workloads of a mix (space sharing).  With the open-loop
+        # load layer enabled the closed-loop drivers are replaced wholesale:
+        # arrivals feed bounded admission queues that the same (node, slot)
+        # worker grid drains (docs/LOAD.md).
+        load_driver = None
+        if config.load.enabled:
+            from repro.load.driver import OpenLoopDriver
+
+            load_driver = OpenLoopDriver(proto, workloads, per_workload,
+                                         seed=seed)
+            load_driver.start()
+        else:
+            for node in cluster.nodes:
+                for slot in range(config.transactions_per_node):
+                    workload = workloads[slot % len(workloads)]
+                    rng = DeterministicRandom(f"{seed}:{node.node_id}:{slot}")
+                    engine.process(
+                        _client_driver(proto, workload, node.node_id, slot,
+                                       rng, per_workload[workload.name]),
+                        name=f"client-n{node.node_id}-s{slot}",
+                    )
+
+        # The model is built: freeze it, so the simulation's
+        # collections never rescan it, and collect again.
+        if freezing:
+            gc.freeze()
+        if collecting:
+            gc.enable()
+        if warmup_ns > 0:
+            engine.run(until=warmup_ns)
+            _reset_metrics(metrics)
+            for workload_metrics in per_workload.values():
+                _reset_metrics(workload_metrics)
+            if spans is not None:
+                # Warm-up spans are discarded along with the warm-up metrics.
+                spans.reset()
+            if load_driver is not None:
+                # Queue contents / latch / controller mode persist (they are
+                # system state); only the transient-era numbers are dropped.
+                load_driver.reset_stats()
+        sampler = None
+        if sample_interval_ns is not None:
+            # Installed after the warm-up so the series starts at the same
+            # point the aggregates measure from.
+            sampler = TimeSeriesSampler(sample_interval_ns)
+            engine.process(sampler.run(engine, proto, metrics, cluster),
+                           name="sampler")
+        if telemetry is None and config.telemetry.enabled:
+            telemetry = TelemetrySampler(
+                interval_ns=config.telemetry.interval_ns,
+                retain=config.telemetry.retain)
+        if telemetry is not None:
+            # Installed after the warm-up like the time-series sampler; the
+            # sampler reads state, never mutates it, so the run's results
+            # stay bit-identical to a telemetry-off run.
+            telemetry.install(engine, proto, metrics, cluster,
+                              load_driver=load_driver,
+                              recovery_manager=recovery_manager,
+                              spans=spans)
+        engine.run(until=warmup_ns + duration_ns)
+
+        metrics.elapsed_ns = duration_ns
+        for workload_metrics in per_workload.values():
+            workload_metrics.elapsed_ns = duration_ns
+        workload_name = (workloads[0].name if len(workloads) == 1
+                         else "+".join(w.name for w in workloads))
+        load_summary = None
+        if load_driver is not None:
+            load_driver.finalize()
+            load_summary = load_driver.stats.as_dict()
+        slo_report = None
+        if config.slo.enabled:
+            # Open loop: the user-visible latency is sojourn (arrival →
+            # commit, queue wait included), so the SLO judges that; closed
+            # loop keeps the protocol service latency.
+            slo_target = (load_driver.stats.sojourn if load_driver is not None
+                          else metrics.latency)
+            slo_report = config.slo.evaluate(slo_target)
+        return ExperimentResult(
+            protocol=protocol, workload=workload_name, config=config,
+            metrics=metrics, per_workload=per_workload,
+            samples=sampler.samples if sampler else None,
+            message_stats=message_stats,
+            spans=spans, slo=slo_report, load=load_summary,
+            telemetry=telemetry,
+            fault_summary=(injector.summary()
+                           if injector is not None else None),
+            recovery_summary=(recovery_manager.summary()
+                              if recovery_manager is not None else None),
+            events_processed=engine.events_processed,
+            bloom_read_ops=BloomFilter.total_read_ops - bloom_reads_before,
+            bloom_write_ops=(BloomFilter.total_write_ops
+                             - bloom_writes_before))
+    finally:
+        if freezing:
+            gc.unfreeze()
+            _full_collections_at_unfreeze = _full_collections()
+        if collecting:
+            gc.enable()
 
 
 def _client_driver(protocol, workload: Workload, node_id: int, slot: int,

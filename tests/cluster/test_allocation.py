@@ -6,6 +6,8 @@ path must reproduce exactly: each record goes to its splitmix64 home
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, NodeMemory
 from repro.cluster.address import LINE_BYTES, line_of, make_address
@@ -72,6 +74,10 @@ def assert_matches_reference(cluster, records):
     assert [node.memory.allocated_bytes for node in cluster.nodes] == allocated
 
 
+#: Mixed record sizes: 1, 2, 16, 1 and 4 lines.
+SIZES = (64, 100, 1024, 10, 200)
+
+
 class TestPlacementMatchesOneAtATime:
     def test_ycsb(self):
         workload = YcsbWorkload(record_count=3000)
@@ -94,6 +100,34 @@ class TestPlacementMatchesOneAtATime:
         tpcc.populate(cluster)
         assert_matches_reference(cluster,
                                  ycsb_records(ycsb) + tpcc_records(tpcc))
+
+    def test_non_contiguous_ids(self):
+        ids = [9, 2, 7, 40, 3, 10 ** 12, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5,
+               2 ** 90]
+        cluster = make_cluster()
+        cluster.allocate_records(ids, 100)
+        cluster.allocate_records(range(1000, 3000, 7), 1024)
+        assert_matches_reference(
+            cluster, [(record_id, 100) for record_id in ids]
+            + [(record_id, 1024) for record_id in range(1000, 3000, 7)])
+
+    def test_negative_ids(self):
+        cluster = make_cluster(ClusterConfig(nodes=5))
+        cluster.allocate_records(range(-1, -1500, -3), 200)
+        cluster.allocate_records([-(2 ** 64), -(2 ** 64) - 1, 5, -8], 64)
+        assert_matches_reference(
+            cluster, [(record_id, 200) for record_id in range(-1, -1500, -3)]
+            + [(record_id, 64)
+               for record_id in (-(2 ** 64), -(2 ** 64) - 1, 5, -8)])
+
+    @given(st.lists(st.integers(), unique=True, max_size=60),
+           st.sampled_from(SIZES))
+    @settings(max_examples=50, deadline=None)
+    def test_any_batch_of_distinct_ids(self, ids, size):
+        cluster = make_cluster()
+        cluster.allocate_records(ids, size)
+        assert_matches_reference(cluster, [(record_id, size)
+                                           for record_id in ids])
 
     def test_descriptors_come_back_in_batch_order(self):
         cluster = make_cluster()
@@ -151,10 +185,6 @@ class TestRejectedBatches:
         with pytest.raises(ValueError):
             cluster.allocate_records(range(4), 0)
         assert cluster.record_count == 0
-
-
-#: Mixed record sizes: 1, 2, 16, 1 and 4 lines.
-SIZES = (64, 100, 1024, 10, 200)
 
 
 def mixed_memory(node_id=1):

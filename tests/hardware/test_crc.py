@@ -1,10 +1,12 @@
-"""Tests for the CRC hashing used by the Bloom filters."""
+"""Tests for the hashing used by the Bloom filters, record placement
+and the hash index."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.crc import crc32c, crc32c_int, hash_family
+from repro.hardware.crc import (crc32c, crc32c_int, hash_family, splitmix64,
+                                splitmix64_lanes)
 
 
 def test_crc32c_known_vector():
@@ -62,3 +64,26 @@ def test_crc_dispersion_no_catastrophic_collisions(values):
     fn = hash_family(1, 1024)[0]
     buckets = {fn(value) for value in values}
     assert len(buckets) >= 25
+
+
+@given(st.lists(st.integers()))
+@example([])
+@example([7])
+@example([0])
+@example([2 ** 64 - 1])
+@example([-1, -(2 ** 64), -(2 ** 70) + 3])
+@example([2 ** 64, 2 ** 64 + 1, 2 ** 200])
+# Full lanes next to empty ones: a carry or a shifted-in bit would show.
+@example([2 ** 64 - 1, 0, 2 ** 64 - 1, 1, 2 ** 63])
+@settings(max_examples=300, deadline=None)
+def test_splitmix64_lanes_equals_the_scalar(values):
+    assert splitmix64_lanes(values) == [splitmix64(value) for value in values]
+
+
+def test_splitmix64_lanes_on_a_large_batch():
+    values = (list(range(-3000, 3000))
+              + list(range(2 ** 64 - 3000, 2 ** 64 + 3000))
+              + [2 ** 64 - 1 - key * 0x9E3779B97F4A7C15 % 2 ** 64
+                 for key in range(3000)])
+    assert splitmix64_lanes(values) == [splitmix64(value) for value in values]
+    assert splitmix64_lanes(range(5000)) == list(map(splitmix64, range(5000)))

@@ -118,20 +118,47 @@ class TestHashTable:
                 for chain in chains.values()
                 for position, (key, record_id) in enumerate(chain)}
 
-    def test_bulk_load_and_insert_give_the_same_probe_depths(self):
-        # 8 buckets for 120 pairs: long chains, repeated keys.
-        pairs = [((key * 37) % 90, key) for key in range(120)]
-        bulk = HashTableStore(expected_keys=4)
+    def assert_matches_reference(self, pairs, expected_keys):
+        """A bulk load, and one insert per pair, build the reference
+        chains: same record ids, same chain order, same probe depths.
+        Returns both stores."""
+        bulk = HashTableStore(expected_keys=expected_keys)
         bulk.bulk_load(pairs)
-        single = HashTableStore(expected_keys=4)
+        single = HashTableStore(expected_keys=expected_keys)
         for key, record_id in pairs:
             single.insert(key, record_id)
         expected = self.reference_chains(pairs, bulk.bucket_count)
         for store in (bulk, single):
-            assert len(store) == len(expected) == 90
+            assert len(store) == len(expected)
             for key, (record_id, depth) in expected.items():
                 assert store.lookup(key) == LookupResult(record_id, depth)
+        return bulk, single
+
+    def test_bulk_load_and_insert_give_the_same_probe_depths(self):
+        # 8 buckets for 120 pairs: long chains, repeated keys.
+        pairs = [((key * 37) % 90, key) for key in range(120)]
+        bulk, single = self.assert_matches_reference(pairs, expected_keys=4)
+        assert len(bulk) == 90
         assert bulk.max_chain_length() == single.max_chain_length() > 1
+
+    def test_negative_keys_and_duplicates_in_one_batch(self):
+        # 8 buckets; every key appears twice, negative and huge keys too.
+        keys = ([-key * 37 % 90 - 45 for key in range(60)]
+                + [-(2 ** 64), 2 ** 64, 2 ** 64 - 1, -1, 2 ** 70])
+        pairs = [(key, index) for index, key in enumerate(keys + keys[::-1])]
+        store, _single = self.assert_matches_reference(pairs, expected_keys=4)
+        assert len(store) == len(set(keys))
+        # Each key keeps its first chain slot but the batch's last id.
+        last = {key: record_id for key, record_id in pairs}
+        assert all(store.lookup(key).record_id == last[key] for key in keys)
+
+    @given(st.lists(st.tuples(st.integers(), st.integers(0, 1000)),
+                    max_size=80),
+           st.sampled_from([1, 4, 64]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_batch_matches_one_insert_at_a_time(self, pairs,
+                                                    expected_keys):
+        self.assert_matches_reference(pairs, expected_keys)
 
     def test_duplicate_replaces_in_place(self):
         store = HashTableStore(expected_keys=1)  # one bucket: one chain

@@ -18,6 +18,10 @@ from repro.workloads import make_workload
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+#: The collector's state when this module was imported.
+_IMPORT_GC_STATE = {key: process_state_report()[key]
+                    for key in ("gc_enabled", "gc_frozen_objects")}
+
 
 def _fingerprint(result):
     """Everything a run reports that must be order-independent."""
@@ -111,6 +115,15 @@ def test_process_state_report_inventory():
     assert report["hash_family_masks"]
     reset_process_caches()
     assert process_state_report()["hash_family_masks"] == {}
+
+
+def test_collector_state_back_at_import_time_values_after_a_run():
+    """The run pauses the collector while it builds and freezes the
+    built model while it simulates; both are undone when it returns."""
+    _run_a()
+    report = process_state_report()
+    assert {key: report[key] for key in _IMPORT_GC_STATE} == _IMPORT_GC_STATE
+    assert _IMPORT_GC_STATE == {"gc_enabled": True, "gc_frozen_objects": 0}
 
 
 def test_tape_era_caches_are_audited_and_resettable():
