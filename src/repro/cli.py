@@ -16,22 +16,22 @@ Subcommands:
   normalized Fig. 9-style row.
 * ``figures`` — regenerate a figure/table by name (fig03, fig09, ...,
   table04, sec06) at a chosen fidelity.
-* ``cost`` — the Section VI hardware storage calculator for arbitrary
-  (C, m, D).
-* ``bench`` — pinned seeded wall-clock benchmarks of the simulator hot
-  path; writes ``BENCH_hotpath.json`` and optionally gates on an
-  events/sec regression versus a committed baseline
-  (see docs/PERFORMANCE.md).  ``--trajectory`` gates a whole sweep
-  artifact against a baseline sweep instead of the point scenarios.
 * ``loadtest`` — binary-search the maximum sustainable open-loop
   arrival rate meeting an SLO, then probe graceful degradation at a
   multiple of it (admission queues, shedding, retry budgets; see
   docs/LOAD.md).  Writes a byte-stable ``LOADTEST.json`` artifact.
+* ``cost`` — the Section VI hardware storage calculator for arbitrary
+  (C, m, D).
 * ``sweep`` — expand a (scenario × seed × protocol × override × rate)
-  grid,
-  shard it across a multiprocessing worker pool, and merge the results
-  into one JSON artifact plus a cross-grid comparison table; the merged
-  artifact is bit-identical for any ``--workers N`` (see docs/SWEEP.md).
+  grid, shard it across a multiprocessing worker pool, and merge the
+  results into one JSON artifact plus a cross-grid comparison table;
+  the merged artifact is bit-identical for any ``--workers N`` (see
+  docs/SWEEP.md).  ``--baseline OLD.json`` gates the sweep against an
+  earlier one, cell by cell.
+* ``serve`` — long-lived HTTP front end: POST workload specs, stream
+  live telemetry, Prometheus ``/metrics`` (see docs/SERVE.md).
+* ``watch`` — live terminal view of one ``serve`` run or of the
+  server's run table.
 """
 
 from __future__ import annotations
@@ -204,27 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     cost_p.add_argument("--multiplexing", type=int, default=2)
     cost_p.add_argument("--remote-nodes", type=float, default=4.0)
 
-    bench_p = sub.add_parser("bench",
-                             help="wall-clock hot-path benchmarks")
-    bench_p.add_argument("--smoke", action="store_true",
-                         help="reduced-scale run for CI (seconds, not "
-                              "minutes)")
-    bench_p.add_argument("--repeats", type=int, default=2,
-                         help="runs per scenario; best wall clock wins")
-    bench_p.add_argument("--out", metavar="PATH",
-                         default="BENCH_hotpath.json",
-                         help="report file ('-' to skip writing)")
-    bench_p.add_argument("--baseline", metavar="PATH", default=None,
-                         help="baseline BENCH_*.json to gate against")
-    bench_p.add_argument("--max-regression", type=float, default=0.30,
-                         help="events/sec drop vs --baseline that fails "
-                              "the gate (fraction, default 0.30)")
-    bench_p.add_argument("--trajectory", metavar="SWEEP.json", default=None,
-                         help="gate a sweep artifact against a baseline "
-                              "sweep (--baseline) instead of running the "
-                              "point scenarios; *.timing.json sidecars "
-                              "are picked up automatically")
-
     sweep_p = sub.add_parser("sweep",
                              help="run a (scenario x seed x protocol) grid "
                                   "across a worker pool")
@@ -262,6 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="merged artifact path ('-' to skip writing); "
                               "wall-clock data goes to a *.timing.json "
                               "sidecar next to it")
+    sweep_p.add_argument("--baseline", metavar="OLD.json", default=None,
+                         help="gate the sweep against an earlier artifact: "
+                              "exit 1 unless some cell matches and no "
+                              "matched cell errored or moved its abort "
+                              "rate or simulated throughput (see "
+                              "docs/SWEEP.md)")
     sweep_p.add_argument("--spans", action="store_true",
                          help="record lifecycle spans per cell (abort "
                               "taxonomy columns in the table)")
@@ -612,9 +597,15 @@ def cmd_figures(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.analysis.sweep import format_sweep_table
+    import json
+
+    from repro.analysis.sweep import compare_trajectories, format_sweep_table
     from repro.sweep import SweepSpec, parse_override, run_sweep
 
+    baseline = None
+    if args.baseline:
+        with open(args.baseline) as fh:
+            baseline = json.load(fh)
     if args.spec:
         spec = SweepSpec.from_file(args.spec)
     else:
@@ -652,78 +643,22 @@ def cmd_sweep(args) -> int:
                        on_heartbeat=on_heartbeat)
     print()
     print(format_sweep_table(report))
-    return 1 if report["partial"] else 0
+    status = 1 if report["partial"] else 0
+    if baseline is not None:
+        matched, failures = compare_trajectories(report, baseline)
+        verdict = "FAILED" if failures else "passed"
+        print(f"\ntrajectory gate {verdict} vs {args.baseline}: {matched} "
+              f"of {len(report['cells'])} cells matched")
+        for failure in failures:
+            print(f"  {failure}")
+        if failures:
+            status = 1
+    return status
 
 
 def _split_csv(value: str) -> List[str]:
     """Comma-separated CLI list -> stripped non-empty items."""
     return [item.strip() for item in value.split(",") if item.strip()]
-
-
-def cmd_bench(args) -> int:
-    import json
-
-    from repro.bench import compare_to_baseline, run_bench, write_report
-
-    if args.trajectory:
-        return _bench_trajectory(args)
-    mode = "smoke" if args.smoke else "full"
-    print(f"hot-path benchmark ({mode}, best of {args.repeats}):")
-    report = run_bench(smoke=args.smoke, repeats=args.repeats)
-    if args.out != "-":
-        write_report(report, args.out)
-        print(f"report -> {args.out}")
-    status = 0
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = compare_to_baseline(report, baseline,
-                                       max_regression=args.max_regression)
-        if failures:
-            print(f"\nregression gate FAILED vs {args.baseline}:")
-            for failure in failures:
-                print(f"  {failure}")
-            status = 1
-        else:
-            print(f"\nregression gate passed vs {args.baseline} "
-                  f"(limit {args.max_regression:.0%})")
-    return status
-
-
-def _bench_trajectory(args) -> int:
-    """``repro bench --trajectory``: gate a sweep against a baseline sweep."""
-    import json
-    import os
-
-    from repro.bench import compare_trajectories
-    from repro.obs.artifacts import tagged_path
-
-    if not args.baseline:
-        raise SystemExit("--trajectory needs --baseline BASELINE_SWEEP.json")
-
-    def _load(path):
-        with open(path) as fh:
-            return json.load(fh)
-
-    def _sidecar(path):
-        sidecar = tagged_path(path, "timing")
-        return _load(sidecar) if os.path.exists(sidecar) else None
-
-    report = _load(args.trajectory)
-    baseline = _load(args.baseline)
-    failures = compare_trajectories(report, baseline,
-                                    max_regression=args.max_regression,
-                                    timing=_sidecar(args.trajectory),
-                                    baseline_timing=_sidecar(args.baseline))
-    matched = sum(1 for cell in report.get("cells", []))
-    if failures:
-        print(f"trajectory gate FAILED vs {args.baseline}:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(f"trajectory gate passed vs {args.baseline} "
-          f"({matched} cells, limit {args.max_regression:.0%})")
-    return 0
 
 
 def cmd_loadtest(args) -> int:
@@ -806,7 +741,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"run": cmd_run, "profile": cmd_profile,
                 "report": cmd_report, "compare": cmd_compare,
                 "figures": cmd_figures, "cost": cmd_cost,
-                "bench": cmd_bench, "sweep": cmd_sweep,
+                "sweep": cmd_sweep,
                 "loadtest": cmd_loadtest, "serve": cmd_serve,
                 "watch": cmd_watch}
     return handlers[args.command](args)

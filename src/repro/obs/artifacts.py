@@ -1,8 +1,8 @@
 """Artifact path derivation for concurrent runs.
 
-``--trace``, ``--spans-out``, ``--metrics`` and the bench report writer
-all historically assumed one process per output path; two runs given
-the same path silently clobber each other's JSONL.  The sweep
+``--trace``, ``--spans-out`` and ``--metrics`` all historically
+assumed one process per output path; two runs given the same path
+silently clobber each other's JSONL.  The sweep
 orchestrator runs many cells concurrently, so writers derive a unique
 per-cell path with :func:`tagged_path` and readers glob the family back
 together with :func:`expand_artifact_globs` (``repro report`` accepts

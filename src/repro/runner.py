@@ -69,8 +69,9 @@ class ExperimentResult:
     #: Live-telemetry sampler (ring buffer of snapshots) when one was
     #: passed in or ``config.telemetry.enabled``; else None.
     telemetry: Optional[TelemetrySampler] = None
-    #: Engine callbacks executed during the run — the numerator of the
-    #: benchmark harness's events/sec (see docs/PERFORMANCE.md).
+    #: Engine callbacks executed during the run — the simulator's own
+    #: cost, pinned exactly per scenario by tests/test_golden_counters.py
+    #: (see docs/PERFORMANCE.md, "What CI gates").
     events_processed: int = 0
     #: Bloom-filter accesses *this run* performed (deltas of the
     #: process-global counters, so back-to-back runs in one process

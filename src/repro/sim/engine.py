@@ -99,7 +99,8 @@ class Engine:
         self._active = 0  # number of live processes (for run-until-idle)
         self._cancelled = 0  # dead entries still sitting in the lanes
         #: Callbacks executed so far (skipped cancellations excluded) —
-        #: the numerator of the benchmark harness's events/sec.
+        #: the simulator's own cost, pinned exactly per scenario by
+        #: tests/test_golden_counters.py.
         self.events_processed = 0
         #: The process currently executing, if any — lets library code
         #: running inside a process discover its own Process handle

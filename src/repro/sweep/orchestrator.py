@@ -293,8 +293,7 @@ def write_sweep(report: Dict[str, object], path: str) -> None:
 def _write_timing(out: str, workers: int, timings: Dict[str, float],
                   total_wall_s: float) -> None:
     """The nondeterministic half: wall clock per cell, pool size.  Kept
-    out of the merged artifact so it stays bit-identical; the bench
-    trajectory gate reads this sidecar for events/sec."""
+    out of the merged artifact so it stays bit-identical."""
     sidecar = {
         "workers": workers,
         "total_wall_s": total_wall_s,

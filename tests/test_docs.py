@@ -84,3 +84,17 @@ def test_every_public_module_has_a_docstring():
     for name in modules:
         module = importlib.import_module(name)
         assert module.__doc__ and len(module.__doc__) > 40, name
+
+
+def test_cli_docstring_lists_every_subcommand():
+    """repro.cli's module docstring names exactly the parser's
+    subcommands, in the parser's order."""
+    import argparse
+
+    from repro import cli
+
+    parser = cli.build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    documented = re.findall(r"^\* ``(\w+)``", cli.__doc__, flags=re.M)
+    assert documented == list(subcommands)
