@@ -6,20 +6,30 @@ record's lines.  A bump allocator hands out record addresses aligned to
 cache lines (matching the paper's record layout, where version metadata
 and data start line-aligned).
 
-Allocation is contiguous, so the ascending list of record start
-addresses the allocator produces is the whole record index: the record
-holding a line is the last start at or below it, and a record ends
-where the next one (or the allocated range) begins.
+Allocation is contiguous, so the record index is a short list of runs:
+an allocation of records of one aligned size (the *stride*) is one run
+of records a stride apart, and an allocation with the last run's stride
+extends that run.  A run ends where the next one (or the allocated
+range) begins, which gives its record count.  The record holding a line
+lies in the last run starting at or below it, a whole number of strides
+from the run's first address.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import repeat
-from typing import Dict, Iterable, List, Sequence
+from array import array
+from bisect import bisect_right
+from typing import Dict, Iterable
 
 from repro.cluster.address import LINE_BYTES, make_address
 from repro.cluster.record import RecordDescriptor, RecordMetadata
+
+
+def record_stride(data_bytes: int) -> int:
+    """Bytes a record of ``data_bytes`` takes: whole cache lines."""
+    if data_bytes <= 0:
+        raise ValueError(f"record data size must be positive: {data_bytes}")
+    return (data_bytes + LINE_BYTES - 1) // LINE_BYTES * LINE_BYTES
 
 
 class NodeMemory:
@@ -28,8 +38,10 @@ class NodeMemory:
     def __init__(self, node_id: int):
         self.node_id = node_id
         self._lines: Dict[int, object] = {}
-        #: Start address of every allocated record, ascending.
-        self._record_starts: List[int] = []
+        #: The allocated runs, ascending: each run's first record
+        #: address and its stride (aligned record size).
+        self._run_firsts = array("q")
+        self._run_strides = array("q")
         #: Fig. 1 metadata of the records a protocol has touched,
         #: created on first use by :meth:`metadata`.
         self._metadata: Dict[int, RecordMetadata] = {}
@@ -59,28 +71,29 @@ class NodeMemory:
     def allocate_record(self, record_id: int,
                         data_bytes: int) -> RecordDescriptor:
         """Allocate one line-aligned record in this node's memory."""
-        return self.allocate_records((record_id,), data_bytes)[0]
+        return RecordDescriptor(record_id, self.allocate_run(1, data_bytes),
+                                data_bytes)
 
-    def allocate_records(self, record_ids: Sequence[int],
-                         data_bytes: int) -> List[RecordDescriptor]:
-        """Allocate line-aligned records of ``data_bytes`` each, back to
-        back in the order given; one descriptor per id, in that order."""
-        if data_bytes <= 0:
-            raise ValueError(f"record data size must be positive: {data_bytes}")
-        count = len(record_ids)
-        if not count:
-            return []
-        aligned = (data_bytes + LINE_BYTES - 1) // LINE_BYTES * LINE_BYTES
+    def check_run(self, count: int, data_bytes: int) -> int:
+        """The stride of ``count`` records of ``data_bytes`` placed next;
+        raises ``ValueError`` if they do not fit.  Allocates nothing."""
+        stride = record_stride(data_bytes)
+        if count > 0:
+            make_address(self.node_id,
+                         self._next_offset + stride * (count - 1))
+        return stride
+
+    def allocate_run(self, count: int, data_bytes: int) -> int:
+        """Allocate ``count >= 1`` line-aligned records of ``data_bytes``
+        each, back to back; returns the first one's address (the
+        ``i``-th is ``i`` strides further)."""
+        stride = self.check_run(count, data_bytes)
         first = make_address(self.node_id, self._next_offset)
-        last = make_address(self.node_id,
-                            self._next_offset + aligned * (count - 1))
-        starts = list(range(first, last + aligned, aligned))
-        self._record_starts += starts
-        self._next_offset += aligned * count
-        # data_bytes was checked above, once for the whole batch;
-        # ``_make`` builds each tuple without repeating the check.
-        return list(map(RecordDescriptor._make,
-                        zip(record_ids, starts, repeat(data_bytes))))
+        if not self._run_strides or self._run_strides[-1] != stride:
+            self._run_firsts.append(first)
+            self._run_strides.append(stride)
+        self._next_offset += stride * count
+        return first
 
     def iter_metadata(self):
         """(address, metadata) pairs of every record whose metadata
@@ -93,31 +106,38 @@ class NodeMemory:
         """The record's Fig. 1 metadata, created on first use."""
         meta = self._metadata.get(record_address)
         if meta is None:
-            starts = self._record_starts
-            index = bisect_left(starts, record_address)
-            if index == len(starts) or starts[index] != record_address:
+            stride = self._stride_at(record_address)
+            if not stride:
                 raise KeyError(f"no record metadata at {record_address:#x} "
                                f"on node {self.node_id}")
-            end = (starts[index + 1] if index + 1 < len(starts)
-                   else self._end_address())
-            meta = RecordMetadata((end - record_address) // LINE_BYTES)
+            meta = RecordMetadata(stride // LINE_BYTES)
             self._metadata[record_address] = meta
         return meta
 
     def has_record(self, record_address: int) -> bool:
-        starts = self._record_starts
-        index = bisect_left(starts, record_address)
-        return index < len(starts) and starts[index] == record_address
+        return bool(self._stride_at(record_address))
 
     def record_address_of_line(self, line: int) -> int:
         """Base address of the record containing cache line ``line``."""
         address = line * LINE_BYTES
-        starts = self._record_starts
-        index = bisect_right(starts, address) - 1
+        index = bisect_right(self._run_firsts, address) - 1
         if index < 0 or address >= self._end_address():
             raise KeyError(f"line {line} is not inside any record on node "
                            f"{self.node_id}")
-        return starts[index]
+        first = self._run_firsts[index]
+        stride = self._run_strides[index]
+        return address - (address - first) % stride
+
+    def _stride_at(self, record_address: int) -> int:
+        """The stride of the record starting at ``record_address``, or 0
+        if no record starts there."""
+        index = bisect_right(self._run_firsts, record_address) - 1
+        if index < 0 or record_address >= self._end_address():
+            return 0
+        stride = self._run_strides[index]
+        if (record_address - self._run_firsts[index]) % stride:
+            return 0
+        return stride
 
     def bump_versions_for_lines(self, lines: Iterable[int]) -> int:
         """Complete a write over ``lines``: bump each covered record's

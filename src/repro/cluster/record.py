@@ -11,9 +11,9 @@ the paper claims; node memory creates a record's metadata object only
 when a protocol first touches it (see
 :meth:`repro.cluster.memory.NodeMemory.metadata`).
 
-The cluster holds a descriptor for every record and node memory the
-metadata of every touched record, so both classes are slotted: no
-per-instance ``__dict__``.
+The cluster keeps a descriptor for every record a protocol has asked
+for, and node memory the metadata of every touched record, so both
+classes are slotted: no per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import List, Optional, Tuple
 
-from repro.cluster.address import lines_covering, node_of_address
+from repro.cluster.address import LINE_BYTES, lines_covering, node_of_address
 
 #: Bytes of Fig. 1 metadata that precede the data: version (8) +
 #: lock (8) + incarnation (8).
@@ -54,7 +54,9 @@ class RecordDescriptor(namedtuple("RecordDescriptor",
 
     @property
     def line_count(self) -> int:
-        return len(self.lines)
+        """``len(self.lines)``, from the first and last line alone."""
+        return ((self.address + self.data_bytes - 1) // LINE_BYTES
+                - self.address // LINE_BYTES + 1)
 
     def augmented_bytes(self) -> int:
         """Wire/storage size including Fig. 1 metadata (Baseline only)."""

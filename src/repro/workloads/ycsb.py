@@ -85,8 +85,9 @@ class YcsbWorkload(Workload):
 
     def populate(self, cluster: Cluster) -> None:
         super().populate(cluster)
-        self.index.bulk_load(
-            (key, self.record_id_base + key) for key in range(self.record_count))
+        base = self.record_id_base
+        self.index.bulk_load(zip(range(self.record_count),
+                                 range(base, base + self.record_count)))
         # Probe depths may change when the index is (re)loaded.
         self._request_tape = [None] * self.record_count
 

@@ -5,6 +5,8 @@ path must reproduce exactly: each record goes to its splitmix64 home
 (or the given one) and takes the next line-aligned offset there.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,12 +27,14 @@ CONFIG = ClusterConfig(nodes=4, cores_per_node=2)
 
 def one_at_a_time(nodes, records):
     """``record_id -> (home, address, data_bytes, line_count)`` and each
-    node's allocated bytes, placing ``(record_id, data_bytes)`` pairs
-    one by one in the order given."""
+    node's allocated bytes, placing ``(record_id, data_bytes)`` pairs,
+    or ``(record_id, data_bytes, home)`` triples, one by one in the
+    order given."""
     next_offset = [LINE_BYTES] * nodes
     placed = {}
-    for record_id, data_bytes in records:
-        home = splitmix64(record_id) % nodes
+    for record in records:
+        record_id, data_bytes = record[:2]
+        home = record[2] if len(record) > 2 else splitmix64(record_id) % nodes
         lines = (data_bytes + LINE_BYTES - 1) // LINE_BYTES
         placed[record_id] = (home, make_address(home, next_offset[home]),
                              data_bytes, lines)
@@ -66,11 +70,31 @@ def make_cluster(config=CONFIG):
     return Cluster(Engine(), config, llc_sets=64)
 
 
+def shape(descriptor):
+    return (descriptor.home_node, descriptor.address, descriptor.data_bytes,
+            descriptor.line_count)
+
+
 def assert_matches_reference(cluster, records):
+    """The record table and every node's memory are what placing
+    ``records`` one at a time gives: each descriptor, the id order of
+    ``iter_records``, the count, no record in the gaps next to an
+    allocated id, and every node's allocated bytes."""
     placed, allocated = one_at_a_time(cluster.config.nodes, records)
-    actual = {record_id: (d.home_node, d.address, d.data_bytes, d.line_count)
-              for record_id, d in cluster.iter_records()}
-    assert actual == placed
+    assert [(record_id, shape(d)) for record_id, d
+            in cluster.iter_records()] == sorted(placed.items())
+    assert cluster.record_count == len(placed)
+    for record_id, expected in placed.items():
+        assert cluster.has_record(record_id)
+        descriptor = cluster.record(record_id)
+        assert descriptor.record_id == record_id
+        assert shape(descriptor) == expected
+    gaps = {near for record_id in placed
+            for near in (record_id - 1, record_id + 1)} - placed.keys()
+    for record_id in gaps:
+        assert not cluster.has_record(record_id)
+        with pytest.raises(KeyError):
+            cluster.record(record_id)
     assert [node.memory.allocated_bytes for node in cluster.nodes] == allocated
 
 
@@ -143,6 +167,125 @@ class TestPlacementMatchesOneAtATime:
         assert cluster.node(2).memory.allocated_bytes == 10 * LINE_BYTES
 
 
+#: Range starts near zero, and past the int64 and uint64 edges.
+RANGE_STARTS = st.one_of(
+    st.integers(-40, 80),
+    st.sampled_from([-(2 ** 64) - 7, 2 ** 63 - 5, 2 ** 64 + 3, 2 ** 90]))
+
+#: One allocation call: ``(kind, ids, size, home)``.  "after" starts a
+#: range just past the highest id allocated so far, when the test runs.
+BATCHES = st.one_of(
+    st.tuples(st.just("range"),
+              st.builds(lambda start, length, step:
+                        range(start, start + length * step, step),
+                        RANGE_STARTS, st.integers(0, 12),
+                        st.sampled_from([1, 1, 1, 2, -1, -3])),
+              st.sampled_from(SIZES), st.none()),
+    st.tuples(st.just("after"), st.integers(0, 12), st.sampled_from(SIZES),
+              st.none()),
+    st.tuples(st.just("list"), st.lists(st.integers(-40, 80), max_size=8),
+              st.sampled_from(SIZES), st.none()),
+    st.tuples(st.just("replay"), st.integers(-40, 80), st.sampled_from(SIZES),
+              st.integers(0, CONFIG.nodes - 1)))
+
+
+def first_clash(placed, ids):
+    """The first id of a batch that is allocated or repeated."""
+    seen = set()
+    for record_id in ids:
+        if record_id in placed or record_id in seen:
+            return record_id
+        seen.add(record_id)
+    return None
+
+
+class TestMixedBatches:
+    """Range batches, id lists and one-record replays in any order."""
+
+    @given(st.lists(BATCHES, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_any_sequence_matches_one_at_a_time(self, batches):
+        cluster = make_cluster()
+        records = []
+        for kind, ids, size, home in batches:
+            placed, _allocated = one_at_a_time(CONFIG.nodes, records)
+            if kind == "after":
+                top = max(placed, default=-1) + 1
+                ids = range(top, top + ids)
+            elif kind == "replay":
+                ids = [ids]
+            clash = first_clash(placed, ids)
+            if clash is not None:
+                with pytest.raises(
+                        ValueError,
+                        match=re.escape(f"record {clash} already allocated")):
+                    cluster.allocate_records(ids, size, home=home)
+            else:
+                descriptors = cluster.allocate_records(ids, size, home=home)
+                records += [(record_id, size) if home is None
+                            else (record_id, size, home) for record_id in ids]
+                placed, _allocated = one_at_a_time(CONFIG.nodes, records)
+                assert [(d.record_id, shape(d)) for d in descriptors] == [
+                    (record_id, placed[record_id]) for record_id in ids]
+            assert_matches_reference(cluster, records)
+
+    def test_range_overlapping_a_range_names_its_first_clash(self):
+        cluster = make_cluster()
+        cluster.allocate_records(range(10, 20), 64)
+        cluster.allocate_records(range(30, 40), 64)
+        for ids, clash in ((range(5, 12), 10), (range(15, 35), 15),
+                           (range(25, 45), 30), (range(0, 100), 10),
+                           ([3, 31, 12], 31)):
+            with pytest.raises(ValueError,
+                               match=f"record {clash} already allocated"):
+                cluster.allocate_records(ids, 64)
+        assert_matches_reference(cluster, [(record_id, 64) for record_id
+                                           in [*range(10, 20), *range(30, 40)]])
+
+    def test_range_over_an_explicit_id_names_the_lowest(self):
+        cluster = make_cluster()
+        cluster.allocate_records([57, 12, 40], 100)
+        cluster.allocate_record(33, 64, home=1)
+        cluster.allocate_records(range(0, 12), 64)
+        with pytest.raises(ValueError, match="record 33 already allocated"):
+            cluster.allocate_records(range(13, 60), 64)
+        with pytest.raises(ValueError, match="record 12 already allocated"):
+            cluster.allocate_records(range(12, 13), 64)
+        cluster.allocate_records(range(13, 33), 64)
+        assert_matches_reference(
+            cluster, [(57, 100), (12, 100), (40, 100), (33, 64, 1)]
+            + [(record_id, 64) for record_id in [*range(0, 12),
+                                                  *range(13, 33)]])
+
+    def test_one_record_allocation_does_not_walk_the_table(self):
+        # A trace replay allocates its records one call each; a check
+        # that walked every allocated record made the replay quadratic.
+        class NoWalk(dict):
+            def __iter__(self):
+                raise AssertionError("walked the record table")
+
+        cluster = make_cluster()
+        records = [(record_id, 64, record_id % 4) for record_id in range(50)]
+        for record_id, size, home in records:
+            cluster.allocate_record(record_id, size, home=home)
+        cluster._descriptors = NoWalk(cluster._descriptors)
+        cluster.allocate_record(50, 64, home=2)
+        cluster.allocate_records([60, 61], 100)
+        with pytest.raises(ValueError, match="record 7 already allocated"):
+            cluster.allocate_record(7, 64)
+        cluster._descriptors = dict(cluster._descriptors)
+        assert_matches_reference(cluster, records + [(50, 64, 2), (60, 100),
+                                                     (61, 100)])
+
+    def test_descriptors_asked_for_are_kept(self):
+        cluster = make_cluster()
+        descriptors = cluster.allocate_records(range(5, 25), 100)
+        assert len(descriptors) == 20
+        assert descriptors[-1].record_id == 24
+        assert [d.record_id for d in descriptors[2:5]] == [7, 8, 9]
+        assert cluster.record(7) is descriptors[2] is cluster.record(7)
+
+
 class TestRejectedBatches:
     def test_duplicate_inside_batch(self):
         cluster = make_cluster()
@@ -179,6 +322,24 @@ class TestRejectedBatches:
         save_trace(trace, path)
         with pytest.raises(ValueError, match=f"home node {home} outside"):
             replay_trace("hades", load_trace(path))
+
+    @pytest.mark.parametrize("ids", [range(12), list(range(12))])
+    def test_batch_that_does_not_fit_allocates_nothing(self, ids):
+        # Node 2 and 3's shares fit in a node's 1 TiB, node 0 and 1's
+        # do not: the batch must fail before any node allocates.
+        cluster = make_cluster()
+        with pytest.raises(ValueError, match="offset out of range"):
+            cluster.allocate_records(ids, (1 << 40) // 3)
+        assert cluster.record_count == 0
+        assert list(cluster.iter_records()) == []
+        assert not any(cluster.has_record(record_id) for record_id in ids)
+        for node in cluster.nodes:
+            assert node.memory.allocated_bytes == 0
+            assert not node.memory.has_record(make_address(node.node_id,
+                                                           LINE_BYTES))
+        cluster.allocate_records(ids, 100)
+        assert_matches_reference(cluster, [(record_id, 100)
+                                           for record_id in ids])
 
     def test_non_positive_size(self):
         cluster = make_cluster()

@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster.address import LINE_BYTES, make_address
 from repro.cluster.record import (
@@ -23,6 +25,17 @@ class TestRecordDescriptor:
     def test_sub_line_record_is_one_line(self):
         descriptor = RecordDescriptor(1, make_address(0, 64), 16)
         assert descriptor.line_count == 1
+
+    @given(st.integers(0, 1 << 44), st.integers(1, 5 * LINE_BYTES),
+           st.booleans(), st.booleans())
+    def test_line_count_counts_the_lines(self, address, size,
+                                         aligned_address, aligned_size):
+        if aligned_address:
+            address -= address % LINE_BYTES
+        if aligned_size:
+            size = -(-size // LINE_BYTES) * LINE_BYTES
+        descriptor = RecordDescriptor(1, address, size)
+        assert descriptor.line_count == len(descriptor.lines)
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):

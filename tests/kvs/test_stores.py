@@ -102,18 +102,23 @@ class TestHashTable:
             HashTableStore(expected_keys=4).range_scan(0, 10)
 
     @staticmethod
-    def reference_chains(pairs, bucket_count):
-        """Chains built one insert at a time: append a new key to its
-        bucket's chain, replace an existing key in place."""
+    def reference_chains(operations, bucket_count):
+        """Chains built one operation at a time: ``(key, record_id)``
+        appends a new key to its bucket's chain or replaces an existing
+        key in place; ``(key, None)`` deletes the key, and the keys
+        after it in its chain move one position up."""
         chains = {}
-        for key, record_id in pairs:
+        for key, record_id in operations:
             chain = chains.setdefault(splitmix64(key) & (bucket_count - 1), [])
-            for position, (existing, _record) in enumerate(chain):
-                if existing == key:
-                    chain[position] = (key, record_id)
-                    break
-            else:
+            position = next((position for position, (existing, _record)
+                             in enumerate(chain) if existing == key), None)
+            if record_id is None:
+                if position is not None:
+                    del chain[position]
+            elif position is None:
                 chain.append((key, record_id))
+            else:
+                chain[position] = (key, record_id)
         return {key: (record_id, 1 + position)
                 for chain in chains.values()
                 for position, (key, record_id) in enumerate(chain)}
@@ -159,6 +164,54 @@ class TestHashTable:
     def test_any_batch_matches_one_insert_at_a_time(self, pairs,
                                                     expected_keys):
         self.assert_matches_reference(pairs, expected_keys)
+
+    @given(st.lists(st.tuples(st.integers(),
+                              st.one_of(st.none(), st.integers(0, 1000))),
+                    max_size=80),
+           st.sampled_from([1, 4, 64]))
+    @settings(max_examples=60, deadline=None)
+    def test_deletes_match_the_reference(self, operations, expected_keys):
+        # Runs of inserts go in as one bulk load each; (key, None) is a
+        # delete.
+        store = HashTableStore(expected_keys=expected_keys)
+        applied = []
+        run = []
+        for key, record_id in operations + [(None, None)]:
+            if record_id is not None:
+                run.append((key, record_id))
+                continue
+            store.bulk_load(run)
+            applied += run
+            run = []
+            if key is not None:
+                present = key in self.reference_chains(applied,
+                                                       store.bucket_count)
+                assert store.delete(key) == present
+                applied.append((key, None))
+        expected = self.reference_chains(applied, store.bucket_count)
+        assert len(store) == len(expected)
+        for key, _record_id in operations:
+            hit = expected.get(key)
+            assert store.lookup(key) == (hit and LookupResult(*hit))
+        longest = max((depth for _record_id, depth in expected.values()),
+                      default=0)
+        assert store.max_chain_length() == longest
+
+    def test_delete_moves_later_keys_up_one(self):
+        store = HashTableStore(expected_keys=1)  # one bucket: one chain
+        store.bulk_load([(key, key * 10) for key in range(1, 6)])
+        assert store.delete(2)
+        assert [store.lookup(key) for key in (1, 3, 4, 5)] == [
+            LookupResult(10, 1), LookupResult(30, 2), LookupResult(40, 3),
+            LookupResult(50, 4)]
+        store.insert(6, 60)
+        store.insert(2, 21)
+        assert store.lookup(6) == LookupResult(60, 5)
+        assert store.lookup(2) == LookupResult(21, 6)
+        assert store.delete(1) and store.delete(6)
+        assert [store.lookup(key).probe_depth for key in (3, 4, 5, 2)] == [
+            1, 2, 3, 4]
+        assert len(store) == 4
 
     def test_duplicate_replaces_in_place(self):
         store = HashTableStore(expected_keys=1)  # one bucket: one chain
