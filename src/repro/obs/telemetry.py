@@ -145,9 +145,12 @@ class TelemetrySampler:
         # metric it observes — with the correction, `events` (live and
         # in ExperimentResult) is bit-identical to a telemetry-off run.
         # Raw self-rescheduling callbacks (no Process) keep the sampler
-        # to exactly one heap entry per snapshot; the sequence numbers
-        # it consumes shift later same-timestamp entries uniformly, so
-        # their relative order — and the simulation — is unchanged.
+        # to exactly one queue entry per snapshot; an entry takes its
+        # place among same-timestamp entries by creation order, so the
+        # others keep their relative order — and the simulation is
+        # unchanged.  (A sleep whose first hop the sampler's entry
+        # follows takes the engine's two-hop path; both paths dispatch
+        # in the same order and count the same events.)
         self._engine.events_processed -= 1
         self.sample()
         self._engine.schedule(self.interval_ns, self._tick)

@@ -315,15 +315,15 @@ def test_peek_skips_cancelled_entries():
 def test_abandoned_timers_do_not_grow_queue_unboundedly():
     """Regression: a retry storm arms and abandons timers far faster
     than their deadlines pass.  Without compaction every dead entry
-    squats in the heap until its (far-future) deadline."""
+    squats in the queue until its (far-future) deadline."""
     engine = Engine()
     for _ in range(10):
         entries = [engine.schedule(1e9, lambda: None) for _ in range(50)]
         for entry in entries:
             engine.cancel(entry)
-        # Compaction keeps the heap near its live size (0 here), far
+        # Compaction keeps the queue near its live size (0 here), far
         # below the 500 entries scheduled overall.
-        assert len(engine._queue) <= 150
+        assert sum(map(len, engine._buckets.values())) <= 150
 
 
 def test_cancelled_sleep_does_not_wake_process():
@@ -441,9 +441,19 @@ class _RecordingTracer:
         self.events.append(("end", name, outcome))
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
-def test_negative_sleep_dies_with_consistent_bookkeeping(engine_cls):
-    """A negative sleep must kill the process through the normal
+#: Sleeps that kill the process, on both engines.  The negative sleep
+#: keeps the bare engine name as its test id.
+_BAD_SLEEPS = [
+    pytest.param(engine_cls, delay, message, id=engine_cls.__name__ + suffix)
+    for delay, message, suffix in ((-3.0, "negative delay: -3.0", ""),
+                                   (float("nan"), "NaN delay: nan", "-nan"))
+    for engine_cls in ENGINES]
+
+
+@pytest.mark.parametrize("engine_cls, delay, message", _BAD_SLEEPS)
+def test_negative_sleep_dies_with_consistent_bookkeeping(engine_cls, delay,
+                                                         message):
+    """A negative or NaN sleep must kill the process through the normal
     ``_finish`` path: ``is_alive`` drops, the live-process count drops,
     the tracer sees ``process_end``, and (with nobody waiting) the
     ValueError still raises out of ``run``."""
@@ -453,25 +463,26 @@ def test_negative_sleep_dies_with_consistent_bookkeeping(engine_cls):
 
     def bad_sleeper():
         yield 5.0
-        yield -1.0
+        yield delay
 
     process = engine.process(bad_sleeper(), name="bad")
-    with pytest.raises(ValueError, match="negative delay"):
+    with pytest.raises(ValueError) as raised:
         engine.run()
+    assert str(raised.value) == message
     assert not process.is_alive
     assert engine._active == 0
     assert ("end", "bad", "ValueError") in tracer.events
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
-def test_negative_sleep_error_routes_to_waiter(engine_cls):
+@pytest.mark.parametrize("engine_cls, delay, message", _BAD_SLEEPS)
+def test_negative_sleep_error_routes_to_waiter(engine_cls, delay, message):
     """With a waiter attached the negative-sleep death is an ordinary
     process failure: delivered to the waiter, not raised out of run."""
     engine = engine_cls()
     caught = []
 
     def bad():
-        yield -3.0
+        yield delay
 
     def parent():
         try:
@@ -481,7 +492,7 @@ def test_negative_sleep_error_routes_to_waiter(engine_cls):
 
     engine.process(parent())
     engine.run()
-    assert caught == ["negative delay: -3.0"]
+    assert caught == [message]
     assert engine._active == 0
 
 
@@ -492,17 +503,60 @@ def test_create_engine_honors_env_knob(monkeypatch):
     assert type(create_engine()) is HeapEngine
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     assert type(create_engine()) is HeapEngine
-    monkeypatch.setenv("REPRO_ENGINE", "wheel")
+    monkeypatch.setenv("REPRO_ENGINE", "unknown")
     assert type(create_engine()) is Engine
 
 
-# -- wheel/batch engine vs. reference heap equivalence -----------------
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_schedule_rejects_nan_delay(engine_cls):
+    engine = engine_cls()
+    with pytest.raises(ValueError, match="delay=nan"):
+        engine.schedule(float("nan"), lambda: None)
+    assert engine.peek() is None
+    assert engine.run() == 0.0
 
-#: Delays chosen to straddle the wheel's interesting boundaries: zero,
-#: within one slot (64 ns), exactly on slot edges, several slots out,
-#: just past the wheel horizon (1024 slots = 65,536 ns), and far beyond.
+
+def test_infinite_sleep_parks_the_process_identically():
+    """An ``inf`` sleep is queued, never fires inside ``run(until)``,
+    and leaves the process alive until something interrupts it."""
+
+    def park(engine_cls):
+        engine = engine_cls()
+        trace = []
+
+        def sleeper():
+            try:
+                yield float("inf")
+            except Interrupt as interrupt:
+                trace.append(("interrupted", engine.now, interrupt.cause))
+            yield 5.0
+            trace.append(("woke", engine.now))
+
+        process = engine.process(sleeper())
+        engine.run(until=1e12)
+        parked = (process.is_alive, engine._active, engine.now,
+                  engine.peek(), engine.events_processed)
+        process.interrupt("wake up")
+        engine.run()
+        return parked, trace, process.is_alive, engine.now, \
+            engine.events_processed
+
+    expected = ((True, 1, 1e12, float("inf"), 1),
+                [("interrupted", 1e12, "wake up"), ("woke", 1e12 + 5.0)],
+                False, 1e12 + 5.0, 4)
+    assert park(Engine) == expected
+    assert park(HeapEngine) == expected
+
+
+# -- the default engine vs. the reference heap -------------------------
+
+#: Delays chosen to straddle a slot wheel's boundaries (zero, within one
+#: 64 ns slot, on slot edges, several slots out, just past a 65,536 ns
+#: horizon, far beyond), plus equal instants reached by different float
+#: sums (0.1 + 0.2 == 0.30000000000000004) and an infinite delay.
 _DELAYS = st.sampled_from([0.0, 1.0, 3.5, 63.0, 64.0, 65.0, 128.0,
-                           1000.0, 65_535.0, 65_600.0, 1e9])
+                           1000.0, 65_535.0, 65_600.0, 1e9,
+                           0.1, 0.2, 0.30000000000000004, float("inf")])
 
 _OPS = st.one_of(
     st.tuples(st.just("schedule"), _DELAYS),
@@ -512,39 +566,82 @@ _OPS = st.one_of(
     st.tuples(st.just("process"), st.lists(_DELAYS, min_size=1,
                                            max_size=4)),
     st.tuples(st.just("interrupt"), st.integers(0, 10), _DELAYS),
+    st.tuples(st.just("dead_instant"), _DELAYS, st.integers(1, 3)),
+    st.tuples(st.just("chain"), _DELAYS, _DELAYS),
+    st.tuples(st.just("spawn"), _DELAYS),
+    st.tuples(st.just("cancel_storm"), _DELAYS, st.integers(65, 90),
+              _DELAYS),
+    st.tuples(st.just("raise"), _DELAYS),
 )
 
 
-def _run_script(engine_cls, ops):
-    """Interpret one generated scenario on ``engine_cls``; return the
-    observable dispatch record."""
+class _Boom(Exception):
+    """Raised by a scripted callback; the script runs on after it."""
+
+
+def _run_script(engine_cls, ops, until):
+    """Interpret one generated scenario on ``engine_cls``, first up to
+    ``until`` and then to the end; return the observable record."""
     engine = engine_cls()
     log = []
     handles = []
     processes = []
 
+    def note(*label):
+        log.append(label + (engine.now,))
+
     def sleeper(pid, delays):
         for delay in delays:
             try:
                 yield delay
-                log.append(("woke", pid, engine.now))
+                note("woke", pid)
             except Interrupt:
-                log.append(("interrupted", pid, engine.now))
+                note("interrupted", pid)
         return pid
 
     def late_cancel(which):
         if handles:
             engine.cancel(handles[which % len(handles)])
 
+    def chain(index, delay):
+        # Equal instants reached by a sum, and work posted or scheduled
+        # with delay 0 at the current instant.
+        note("chain", index)
+        handles.append(engine.schedule(delay, note, "chained", index))
+        handles.append(engine.post(note, "posted", index))
+        handles.append(engine.schedule(0.0, note, "zero", index))
+
+    def spawn(index):
+        note("spawn", index)
+        processes.append(engine.process(sleeper(index, [0.0, 1.0])))
+
+    def cancel_storm(index, count, delay):
+        # Enough cancels to compact while this instant is dispatched;
+        # every fourth entry survives, here and in the future.
+        made = []
+        for burst in range(count):
+            if burst % 2:
+                made.append(engine.post(note, "storm_now", index, burst))
+            else:
+                made.append(engine.schedule(delay, note, "storm_later",
+                                            index, burst))
+        for burst, entry in enumerate(made):
+            if burst % 4:
+                engine.cancel(entry)
+        handles.extend(made)
+
+    def boom(index):
+        note("boom", index)
+        raise _Boom(index)
+
     for index, op in enumerate(ops):
         kind = op[0]
         if kind == "schedule":
-            handles.append(engine.schedule(op[1], log.append,
-                                           ("cb", index)))
+            handles.append(engine.schedule(op[1], note, "cb", index))
         elif kind == "storm":
             for burst in range(op[2]):
-                handles.append(engine.schedule(op[1], log.append,
-                                               ("storm", index, burst)))
+                handles.append(engine.schedule(op[1], note, "storm",
+                                               index, burst))
         elif kind == "cancel":
             if handles:
                 engine.cancel(handles[op[1] % len(handles)])
@@ -556,16 +653,39 @@ def _run_script(engine_cls, ops):
             if processes:
                 target = processes[op[1] % len(processes)]
                 engine.schedule(op[2], target.interrupt)
-    final = engine.run()
-    return log, engine.events_processed, final
+        elif kind == "dead_instant":
+            for _ in range(op[2]):
+                engine.cancel(engine.schedule(op[1], note, "dead", index))
+        elif kind == "chain":
+            engine.schedule(op[1], chain, index, op[2])
+        elif kind == "spawn":
+            engine.schedule(op[1], spawn, index)
+        elif kind == "cancel_storm":
+            engine.schedule(op[1], cancel_storm, index, op[2], op[3])
+        elif kind == "raise":
+            engine.schedule(op[1], boom, index)
+    for limit in (until, None):
+        while True:
+            try:
+                engine.run(limit)
+                break
+            except _Boom:
+                note("raised")
+        log.append(("stopped", engine.now, engine.peek()))
+    return log, engine.events_processed
 
 
-@given(st.lists(_OPS, min_size=1, max_size=40))
-@settings(max_examples=120, deadline=None)
-def test_wheel_engine_matches_reference_heap(ops):
-    """The wheel+batch engine and the reference heap must produce the
-    identical dispatch order, event count, and final clock for any mix
-    of schedules, same-timestamp storms, cancels (including cancels
-    issued mid-run and cancels of already-fired entries), processes,
-    and interrupts."""
-    assert _run_script(Engine, ops) == _run_script(HeapEngine, ops)
+@given(st.lists(_OPS, min_size=1, max_size=40),
+       st.sampled_from([0.0, 1.0, 64.0, 0.30000000000000004, 1e9]))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_reference_heap(ops, until):
+    """The default engine and the reference heap must produce the
+    identical dispatch order, clock readings and event count for any
+    mix of schedules, same-timestamp storms, cancels (including cancels
+    issued mid-run, cancels of already-fired entries, instants whose
+    every entry is cancelled and cancel storms that compact the queue
+    mid-instant), processes whose sleeps are and are not the last entry
+    at their instant, interrupts, work created at the current instant,
+    infinite delays, and callbacks that raise out of ``run``."""
+    assert _run_script(Engine, ops, until) == _run_script(HeapEngine, ops,
+                                                          until)
