@@ -86,18 +86,15 @@ class Cluster:
     """The modeled machine: N nodes connected by the RDMA fabric."""
 
     def __init__(self, engine: Engine, config: ClusterConfig,
-                 llc_sets: Optional[int] = None,
-                 fabric: Optional[Fabric] = None):
+                 llc_sets: Optional[int] = None):
         self.engine = engine
         self.config = config
         self.nodes: List[Node] = [
             Node(node_id, config, llc_sets=llc_sets, engine=engine)
             for node_id in range(config.nodes)
         ]
-        # A prebuilt fabric (e.g. a FaultyFabric) may be supplied; by
-        # default the cluster owns a fault-free one.
-        self.fabric = fabric if fabric is not None else Fabric(
-            engine, config.network)
+        # Fault-free until the runner attaches an injector to it.
+        self.fabric = Fabric(engine, config.network)
         #: Every descriptor built so far: all records allocated from an
         #: id list, and the range-batch records asked for.
         self._descriptors: Dict[int, RecordDescriptor] = {}

@@ -46,20 +46,22 @@ class CoreClock:
     def __init__(self, engine):
         self.engine = engine
         self.free_at = 0.0
-        self.busy_ns = 0.0
 
     def reserve(self, ns: float) -> float:
-        if ns < 0:
-            raise ValueError(f"negative cpu time: {ns}")
-        start = max(self.engine.now, self.free_at)
-        self.free_at = start + ns
-        self.busy_ns += ns
-        return self.free_at - self.engine.now
+        """Book ``ns`` of work after whatever the core already holds.
 
-    def utilization(self, elapsed_ns: float) -> float:
-        if elapsed_ns <= 0:
-            raise ValueError("elapsed time must be positive")
-        return min(1.0, self.busy_ns / elapsed_ns)
+        The work starts at ``max(now, free_at)``; the returned delay
+        runs from now to its end.  A negative or NaN ``ns`` raises and
+        books nothing.
+        """
+        if not ns >= 0:
+            raise ValueError(f"cpu charge must be >= 0 ns, got {ns}")
+        now = self.engine.now
+        free_at = self.free_at
+        # ``max(now, free_at)`` without the call; the same float for
+        # every input.
+        free_at = self.free_at = (free_at if free_at > now else now) + ns
+        return free_at - now
 
 
 @dataclass

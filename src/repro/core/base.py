@@ -459,9 +459,9 @@ class ProtocolBase:
             self.tracer.fault(self.engine.now, "request_timeout",
                               token=repr(token))
 
-    def send(self, src: int, dst: int, message: Message) -> Event:
+    def send(self, src: int, dst: int, message: Message) -> None:
         """Fire-and-forget message."""
-        return self.cluster.fabric.send(src, dst, message)
+        self.cluster.fabric.send(src, dst, message)
 
     def request(self, src: int, dst: int, message: Message, token) -> Event:
         """Send a request whose reply will resolve the returned event."""

@@ -1,6 +1,6 @@
 """Deterministic, seeded fault injection for the simulated cluster.
 
-The subsystem has three parts (see docs/FAULTS.md):
+The subsystem has two parts (see docs/FAULTS.md):
 
 * :class:`~repro.config.FaultPlan` — the declarative schedule (drop
   probability, delay jitter, NIC stall windows, crash/restart windows,
@@ -9,11 +9,9 @@ The subsystem has three parts (see docs/FAULTS.md):
 * :class:`~repro.faults.injector.FaultInjector` — draws every
   probabilistic decision from one private seeded stream and decides a
   fate for each message (:meth:`~repro.faults.injector.FaultInjector.
-  message_fate`) and each replica persist.
-* :class:`~repro.faults.fabric.FaultyFabric` — a
-  :class:`~repro.net.fabric.Fabric` with an injector pre-attached (the
-  runner attaches an injector to an existing fabric instead; both spell
-  the same hooks).
+  message_fate`) and each replica persist.  The runner attaches it to
+  the cluster's own :class:`~repro.net.fabric.Fabric` through
+  :attr:`~repro.net.fabric.Fabric.faults`.
 
 Recovery relies on request timeouts: the runner arms
 :attr:`~repro.net.fabric.RequestReplyHelper.default_timeout_ns` so a
@@ -22,7 +20,6 @@ dropped request or reply resolves its waiting event with
 exactly like a conflict.
 """
 
-from repro.faults.fabric import FaultyFabric
 from repro.faults.injector import FaultInjector
 
-__all__ = ["FaultInjector", "FaultyFabric"]
+__all__ = ["FaultInjector"]

@@ -71,11 +71,10 @@ class Fabric:
 
     def __init__(self, engine: Engine, params: NetworkParams):
         self.engine = engine
-        #: Bound engine entry points, hoisted for the per-send hot path
-        #: (every message arms one delivery timer and allocates one
-        #: delivery event; the engine never changes after construction).
+        #: Bound engine entry point, hoisted for the per-send hot path
+        #: (every message arms one delivery timer and allocates no
+        #: event; the engine never changes after construction).
         self._schedule = engine.schedule
-        self._new_event = engine.event
         self.params = params
         # Per-send constants hoisted out of the hot path: ``params`` is a
         # frozen dataclass, so its derived properties never change after
@@ -127,12 +126,11 @@ class Fabric:
             raise ValueError(f"node {node_id} already has a handler")
         self._handlers[node_id] = handler
 
-    def send(self, src: int, dst: int, message: Message) -> Event:
-        """Send ``message``; returns an event that fires at delivery.
+    def send(self, src: int, dst: int, message: Message) -> None:
+        """Send ``message``; delivery invokes the destination handler.
 
-        The returned event is informational — delivery also invokes the
-        destination handler.  Sending to an unregistered node or to
-        yourself is a protocol bug and raises immediately.
+        Sending to an unregistered node or to yourself is a protocol bug
+        and raises immediately.
         """
         if src == dst:
             raise ValueError(f"node {src} sending to itself: {message!r}")
@@ -154,20 +152,19 @@ class Fabric:
         )
         self.messages_sent += 1
         self.bytes_sent += size
-        delivered = self._new_event()
         if self.faults is not None:
             drop_reason, extra_ns = self.faults.message_fate(
                 src, dst, message, now)
             if drop_reason is not None:
                 # The NIC still serialized the message (egress charged
-                # above); it just never arrives.  The returned event
-                # never fires — waiters recover via request timeouts.
+                # above); it just never arrives — waiters recover via
+                # request timeouts.
                 self.dropped_messages += 1
                 if self.stats is not None:
                     self.stats.record_drop(type(message).__name__, size)
                 if self.spans is not None:
                     self.spans.record_fault_drop(drop_reason)
-                return delivered
+                return
             if extra_ns > 0.0:
                 delivery_delay += extra_ns
             # Preserve per-pair FIFO under injected delays.
@@ -200,17 +197,14 @@ class Fabric:
                                   delivery_delay)
             if self.spans is not None:
                 self.spans.record_message(msg_type, delivery_delay)
-        self._schedule(delivery_delay, self._deliver, src, dst, message,
-                       delivered)
-        return delivered
+        self._schedule(delivery_delay, self._deliver, src, dst, message)
 
-    def _deliver(self, src: int, dst: int, message: Message,
-                 delivered: Event) -> None:
+    def _deliver(self, src: int, dst: int, message: Message) -> None:
         if self.recovery is not None and not self.recovery.on_deliver(
                 src, dst, message):
             # Consumed by the recovery plane, or rejected by the
-            # receiver's membership view.  The delivery event never
-            # fires; waiters recover via request timeouts.
+            # receiver's membership view: no handler runs, and waiters
+            # recover via request timeouts.
             return
         handler = self._handlers[dst]
         result = handler(src, message)
@@ -220,7 +214,6 @@ class Fabric:
             if name is None:
                 name = self._handler_names[cls] = f"handle-{cls.__name__}"
             self.engine.process(result, name=name)
-        delivered.succeed(message)
 
     def egress_backlog_ns(self, node_id: int) -> float:
         """How far in the future the node's NIC egress is booked."""

@@ -33,12 +33,18 @@ neither counts as a cancel nor skews the compaction trigger.  Dead
 entries are compacted away once cancels pile up (retry storms arm and
 abandon timers far faster than their deadlines pass).
 
+A sleep takes two hops: its fire entry runs at the deadline and posts a
+wake behind whatever else is due then.  :class:`Engine` resumes the
+process at the first hop, counting both, when the fire entry is the last
+entry of its instant and no tracer captures schedules.
+
 Two interchangeable engines implement the same dispatch contract:
 
 * :class:`Engine` — the default, described above (see
   docs/PERFORMANCE.md).
 * :class:`HeapEngine` — the reference pure-heap implementation, kept as
   the equivalence baseline and selectable with ``REPRO_ENGINE=heap``.
+  It always takes both hops of a sleep.
 
 :func:`create_engine` picks between them from the environment.
 """
@@ -62,6 +68,10 @@ ScheduledEntry = List[Any]
 #: A compaction waits for more cancels than this, however small the
 #: queue (see :meth:`Engine._compact`).
 _COMPACT_MIN_CANCELLED = 64
+
+#: First argument of every sleep's fire entry: the cue on which
+#: :meth:`Engine.run` may resume a sleeping process in one dispatch.
+_SLEEP = object()
 
 
 class Engine:
@@ -87,7 +97,8 @@ class Engine:
         self._compact_at = _COMPACT_MIN_CANCELLED
         #: Callbacks executed so far (skipped cancellations excluded) —
         #: the simulator's own cost, pinned exactly per scenario by
-        #: tests/test_golden_counters.py.
+        #: tests/test_golden_counters.py.  A sleep resumed in one
+        #: dispatch counts as its two hops.
         self.events_processed = 0
         #: The process currently executing, if any — lets library code
         #: running inside a process discover its own Process handle
@@ -220,11 +231,14 @@ class Engine:
         so the next ``run()`` skips those and dispatches the rest.
         ``events_processed`` is incremented per dispatched event (not
         batched at loop exit) so in-simulation observers — the telemetry
-        sampler — read a live count.
+        sampler — read a live count.  A lone sleep resumes at its first
+        hop (module docstring); the test reads the raw entry, so a
+        wrapped callback always takes both hops.
         """
         times = self._times
         buckets = self._buckets
         heappop = heapq.heappop
+        sleep = _SLEEP
         while times:
             when = times[0]
             if until is not None and when > until:
@@ -236,8 +250,17 @@ class Engine:
                     continue  # cancelled, or run before a callback raised
                 entry[0] = None
                 self.now = when
-                self.events_processed += 1
-                callback(*entry[1])
+                args = entry[1]
+                if (args and args[0] is sleep and entry is bucket[-1]
+                        and (self.tracer is None
+                             or not self.tracer.capture_schedules)):
+                    self.events_processed += 2
+                    process = callback.__self__
+                    process._sleep_entry = None
+                    process._resume(None, None)
+                else:
+                    self.events_processed += 1
+                    callback(*args)
             heappop(times)
             del buckets[when]
         if until is not None and self.now < until:
@@ -394,7 +417,7 @@ class Process(CompletionEvent):
             # corrupt the generator's control flow.
             return
         self._waiting_on = None
-        exception = getattr(event, "exception", None)
+        exception = event.exception
         if exception is not None:
             self._resume(None, exception)
         else:
@@ -424,13 +447,11 @@ class Process(CompletionEvent):
             return
         finally:
             engine.current_process = previous
-        self._wait_for(yielded)
-
-    def _wait_for(self, yielded: Any) -> None:
+        # Wait for what the generator yielded.
         if type(yielded) is float:
             delay = yielded
         elif yielded is None:
-            self.engine.post(self._resume, None, None)
+            engine.post(self._resume, None, None)
             return
         elif isinstance(yielded, Event):
             self._waiting_on = yielded
@@ -449,7 +470,8 @@ class Process(CompletionEvent):
             # callback count, same ordering against same-timestamp
             # events — without allocating an Event or registering
             # callbacks.
-            self._sleep_entry = self.engine.schedule(delay, self._sleep_fire)
+            self._sleep_entry = engine.schedule(delay, self._sleep_fire,
+                                                _SLEEP)
         else:
             # Route through _finish like any other bad yield, so the
             # process dies with consistent bookkeeping (_alive, _active,
@@ -458,7 +480,7 @@ class Process(CompletionEvent):
             kind = "negative" if delay < 0 else "NaN"
             self._finish(None, ValueError(f"{kind} delay: {delay}"))
 
-    def _sleep_fire(self) -> None:
+    def _sleep_fire(self, _sleep: object) -> None:
         # First hop reached the deadline; the second hop orders the
         # actual resume after any events already scheduled for now.
         self._sleep_entry = self.engine.post(self._sleep_wake)

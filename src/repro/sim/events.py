@@ -36,6 +36,11 @@ class Event:
     this catches protocol bugs such as double-acking a commit.
     """
 
+    #: Set only on a :class:`CompletionEvent` whose process failed or
+    #: was interrupted; a class-level default, so a waiter reads it off
+    #: any event without a ``getattr``.
+    exception: Optional[BaseException] = None
+
     def __init__(self, engine: "Engine"):  # noqa: F821 - circular typing
         self.engine = engine
         self.triggered = False
@@ -140,10 +145,6 @@ class CompletionEvent(Event):
     Carries the process return value, or re-raises the process's
     exception when waited on by the engine (failure propagation).
     """
-
-    def __init__(self, engine: "Engine"):  # noqa: F821
-        super().__init__(engine)
-        self.exception: Optional[BaseException] = None
 
     def fail(self, exception: BaseException) -> None:
         """Trigger the event in the failed state."""

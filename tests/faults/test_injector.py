@@ -157,12 +157,13 @@ class TestFabricIntegration:
         stats = MessageStats()
         fabric.stats = stats
         fabric.faults = ScriptedFaults([(DROP_RANDOM, 0.0), (None, 0.0)])
-        lost = fabric.send(0, 1, AckMessage(OWNER, token=1))
-        kept = fabric.send(0, 1, AckMessage(OWNER, token=2))
+        lost = AckMessage(OWNER, token=1)
+        kept = AckMessage(OWNER, token=2)
+        fabric.send(0, 1, lost)
+        fabric.send(0, 1, kept)
         engine.run()
         assert fabric.dropped_messages == 1
-        assert [msg.token for msg in received] == [2]
-        assert not lost.triggered and kept.triggered
+        assert received == [kept]
         (name, count, _, _, _, _, dropped), = stats.rows()
         assert name == "AckMessage"
         assert count == 2 and dropped == 1  # drops still count as sends
@@ -193,8 +194,11 @@ class TestFabricIntegration:
         deferred generator body — an effective FIFO inversion."""
         engine, fabric = make_fabric()
         order = []
+        delivered = []
 
         def handler(src, message):
+            delivered.append((engine.now, message.token))
+
             def body():
                 order.append(("start", message.token))
                 yield None
@@ -207,12 +211,14 @@ class TestFabricIntegration:
         # First send delayed by 1000 ns; second undelayed, so its raw
         # delivery time lands before the floor and must be clamped.
         fabric.faults = ScriptedFaults([(None, 1000.0), (None, 0.0)])
-        first = fabric.send(0, 1, AckMessage(OWNER, token=1))
-        second = fabric.send(0, 1, AckMessage(OWNER, token=2))
+        fabric.send(0, 1, AckMessage(OWNER, token=1))
+        fabric.send(0, 1, AckMessage(OWNER, token=2))
         engine.run()
         assert order == [("start", 1), ("end", 1),
                          ("start", 2), ("end", 2)]
-        assert first.triggered and second.triggered
+        (first_at, first), (second_at, second) = delivered
+        assert (first, second) == (1, 2)
+        assert second_at == first_at + _FIFO_SPACING_NS
         anchor, bumps = fabric._pair_floor[(0, 1)]
         assert anchor + bumps * _FIFO_SPACING_NS >= 1000.0 + _FIFO_SPACING_NS
         assert bumps == 1

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import EventTracer
 from repro.sim import AllOf, Engine, HeapEngine, Interrupt, create_engine
+from repro.sim.engine import Process
 
 #: Both engines must satisfy every dispatch-contract test below.
 ENGINES = [Engine, HeapEngine]
@@ -548,6 +550,111 @@ def test_infinite_sleep_parks_the_process_identically():
     assert park(HeapEngine) == expected
 
 
+# -- one dispatch per lone sleep ---------------------------------------
+
+
+def _spy_on_wake_posts(monkeypatch):
+    """Count the default engine's posts of ``Process._sleep_wake``: the
+    returned list gets the clock reading of each one."""
+    posts = []
+    post = Engine.post
+
+    def spy(engine, callback, *args):
+        if getattr(callback, "__func__", None) is Process._sleep_wake:
+            posts.append(engine.now)
+        return post(engine, callback, *args)
+
+    monkeypatch.setattr(Engine, "post", spy)
+    return posts
+
+
+def _sleepers(engine_cls, capture_schedules, shared_instant):
+    """Run one process sleeping 10, 5 and 0 ns; with ``shared_instant``
+    an entry created after the first sleep's fire entry is due at the
+    same instant.  Returns the wake log and ``events_processed``."""
+    engine = engine_cls()
+    if capture_schedules:
+        engine.tracer = EventTracer(capture_schedules=True)
+    log = []
+
+    def sleeper():
+        for delay in (10.0, 5.0, 0.0):
+            yield delay
+            log.append(("woke", engine.now))
+
+    engine.process(sleeper())
+    if shared_instant:
+        engine.schedule(5.0, lambda: engine.schedule(
+            5.0, log.append, ("shared", engine.now)))
+    engine.run()
+    return log, engine.events_processed
+
+
+@pytest.mark.parametrize("capture_schedules, shared_instant, wake_posts", [
+    (False, False, []),
+    (False, True, [10.0]),
+    (True, False, [10.0, 15.0, 15.0]),
+    (True, True, [10.0, 15.0, 15.0]),
+], ids=["alone", "shared", "capturing", "capturing-shared"])
+def test_sleep_takes_one_dispatch_only_when_alone_and_uncaptured(
+        monkeypatch, capture_schedules, shared_instant, wake_posts):
+    """A sleep whose fire entry is the last of its instant resumes in
+    one dispatch; one that shares its instant with a later entry, or
+    runs under a tracer that captures schedules, posts its wake.  The
+    event count is the reference heap's either way."""
+    posts = _spy_on_wake_posts(monkeypatch)
+    observed = _sleepers(Engine, capture_schedules, shared_instant)
+    assert posts == wake_posts
+    assert observed == _sleepers(HeapEngine, capture_schedules,
+                                 shared_instant)
+
+
+_NOT_THE_MARKER = [None, 0, 0.0, False, "", (), object()]
+
+
+@pytest.mark.parametrize("capture_schedules", [False, True],
+                         ids=["bare", "capturing"])
+@pytest.mark.parametrize("first", _NOT_THE_MARKER,
+                         ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("kind", ["callback", "timeout"])
+def test_entry_with_other_first_argument_is_never_taken_for_a_sleep(
+        kind, first, capture_schedules):
+    """An entry due at a sleep's instant and last in its list runs as
+    itself whatever its first argument is, unless that argument is the
+    engine's own sleep marker: a plain callback, and a ``Timeout`` whose
+    ``_fire`` gets its value (``None`` by default)."""
+
+    def scenario(engine_cls):
+        engine = engine_cls()
+        if capture_schedules:
+            engine.tracer = EventTracer(capture_schedules=True)
+        log = []
+
+        def sleeper():
+            yield 10.0
+            log.append(("woke", engine.now))
+
+        def at_five():
+            # Created after the sleep's fire entry, due at its instant.
+            if kind == "callback":
+                engine.schedule(5.0, log.append, first)
+            else:
+                engine.timeout(5.0, first).add_callback(
+                    lambda event: log.append(("fired", event.value)))
+
+        engine.process(sleeper())
+        engine.schedule(5.0, at_five)
+        engine.run()
+        return log, engine.events_processed
+
+    log, events = scenario(Engine)
+    assert (log, events) == scenario(HeapEngine)
+    if kind == "callback":
+        assert log == [first, ("woke", 10.0)]
+    else:  # the timeout's waiter is posted behind the sleep's wake
+        assert log == [("woke", 10.0), ("fired", first)]
+
+
 # -- the default engine vs. the reference heap -------------------------
 
 #: Delays chosen to straddle a slot wheel's boundaries (zero, within one
@@ -579,10 +686,11 @@ class _Boom(Exception):
     """Raised by a scripted callback; the script runs on after it."""
 
 
-def _run_script(engine_cls, ops, until):
+def _run_script(engine_cls, ops, until, tracer=None):
     """Interpret one generated scenario on ``engine_cls``, first up to
     ``until`` and then to the end; return the observable record."""
     engine = engine_cls()
+    engine.tracer = tracer
     log = []
     handles = []
     processes = []
@@ -686,6 +794,12 @@ def test_engine_matches_reference_heap(ops, until):
     every entry is cancelled and cancel storms that compact the queue
     mid-instant), processes whose sleeps are and are not the last entry
     at their instant, interrupts, work created at the current instant,
-    infinite delays, and callbacks that raise out of ``run``."""
-    assert _run_script(Engine, ops, until) == _run_script(HeapEngine, ops,
-                                                          until)
+    infinite delays, and callbacks that raise out of ``run``.  With a
+    tracer that captures schedules attached, the default engine takes
+    both hops of every sleep, so the tracers' records match as well."""
+    expected = _run_script(HeapEngine, ops, until)
+    assert _run_script(Engine, ops, until) == expected
+    tracers = [EventTracer(capture_schedules=True) for _ in range(2)]
+    assert _run_script(Engine, ops, until, tracers[0]) == expected
+    _run_script(HeapEngine, ops, until, tracers[1])
+    assert tracers[0].events == tracers[1].events
