@@ -19,7 +19,7 @@ Validation instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from repro.cluster.address import partially_covered_lines
 from repro.cluster.record import RecordDescriptor
@@ -38,7 +38,6 @@ from repro.core.txn import (
     CATEGORY_RD_BEFORE_WR,
     CATEGORY_READ_ATOMICITY,
     CATEGORY_UPDATE_VERSION,
-    PHASE_VALIDATION,
     TxContext,
 )
 from repro.hardware.directory import snapshot_filters
@@ -60,7 +59,7 @@ class HadesHybridProtocol(HadesProtocol):
     check_local_bfs_at_remote = False  # local transactions have no BFs
 
     # ------------------------------------------------------------------
-    # attempt
+    # attempt (the loop is ProtocolBase._attempt)
     # ------------------------------------------------------------------
 
     def _init_attempt_state(self, ctx: TxContext) -> None:
@@ -74,86 +73,68 @@ class HadesHybridProtocol(HadesProtocol):
         ctx.local_write_buffer = {}
         ctx.holding_local_dirlock = False
 
-    def _attempt(self, ctx: TxContext, requests):
-        self._init_attempt_state(ctx)
-        cost = self.config.cost
-        yield ctx.charge_cpu(cost.txn_setup_cycles, CATEGORY_OTHER)
-        if not callable(requests):
-            # List spec: no stream object and no read-result threading
-            # (a list's requests cannot depend on earlier reads).
-            touched = ctx.touched_records
-            default_work = cost.request_work_cycles
-            node_id = ctx.node_id
-            for request in requests:
-                touched.add(request.record_id)
-                work = request.work_cycles
-                yield ctx.charge_cpu(work if work is not None
-                                     else default_work, CATEGORY_OTHER)
-                descriptor = self.descriptor(request.record_id)
-                if descriptor.home_node == node_id:
-                    yield from self._software_local_op(ctx, request,
-                                                       descriptor)
-                else:
-                    yield from self._hardware_remote_op(ctx, request)
-        else:
-            stream = self.request_stream(requests)
-            result = None
-            while True:
-                request = stream.next(result)
-                if request is None:
-                    break
-                ctx.touched_records.add(request.record_id)
-                work = (request.work_cycles if request.work_cycles is not None
-                        else cost.request_work_cycles)
-                yield ctx.charge_cpu(work, CATEGORY_OTHER)
-                results_before = len(ctx.read_results)
-                descriptor = self.descriptor(request.record_id)
-                if descriptor.home_node == ctx.node_id:
-                    yield from self._software_local_op(ctx, request, descriptor)
-                else:
-                    yield from self._hardware_remote_op(ctx, request)
-                result = (ctx.read_results[-1]
-                          if len(ctx.read_results) > results_before else None)
-        ctx.begin_phase(PHASE_VALIDATION)
-        yield from self._commit(ctx)
+    # -- execution: software for local records, hardware for remote ones --
 
-    # -- local operations: software, record granularity -------------------
-
-    def _software_local_op(self, ctx: TxContext, request: Request,
-                           descriptor: RecordDescriptor):
+    def _execute_read(self, ctx: TxContext, request: Request):
         record_id = request.record_id
-        if request.is_write:
-            entry = ctx.write_set.get(record_id)
-            if entry is None:
-                if record_id not in ctx.read_set:
-                    yield from self._local_record_into_read_set(
-                        ctx, descriptor, CATEGORY_RD_BEFORE_WR)
-                entry = WriteSetEntry(descriptor,
-                                      ctx.read_set[record_id].version)
-                ctx.write_set[record_id] = entry
-                yield ctx.charge_cpu(self.config.cost.write_set_insert_cycles,
-                                     CATEGORY_MANAGE_SETS)
-                yield ctx.charge_cpu_ns(
-                    self.config.copy_ns(descriptor.data_bytes),
-                    CATEGORY_MANAGE_SETS)
-            else:
-                yield ctx.charge_cpu(20, CATEGORY_MANAGE_SETS)
+        descriptor = self.descriptor(record_id)
+        if descriptor.home_node != ctx.node_id:
+            # Remote: HADES' line-granularity read through the NIC BFs.
+            values: Dict[int, object] = {}
+            to_fetch = []
             for line in self.requested_lines(request):
-                entry.pending[line] = request.value
+                if line in ctx.remote_cache:
+                    yield ctx.charge_cpu_ns(self._l1_ns)
+                    values[line] = ctx.remote_cache[line]
+                else:
+                    to_fetch.append(line)
+            if to_fetch:
+                fetched = yield from self._fetch_remote_reads(
+                    ctx, {descriptor.home_node: to_fetch})
+                values.update(fetched)
+            return values
+        # Local: SW-Impl's record-granularity read through the Read Set.
+        if record_id in ctx.write_set:
+            yield ctx.charge_cpu(10, CATEGORY_MANAGE_SETS)
+            base = (ctx.read_set[record_id].values
+                    if record_id in ctx.read_set else {})
+            return {**base, **ctx.write_set[record_id].pending}
+        if record_id not in ctx.read_set:
+            yield from self._local_record_into_read_set(ctx, descriptor,
+                                                        CATEGORY_OTHER)
         else:
-            if record_id in ctx.write_set:
-                yield ctx.charge_cpu(10, CATEGORY_MANAGE_SETS)
-                base = (ctx.read_set[record_id].values
-                        if record_id in ctx.read_set else {})
-                ctx.read_results.append(
-                    {**base, **ctx.write_set[record_id].pending})
-                return
+            yield ctx.charge_cpu(5, CATEGORY_OTHER)
+        return ctx.read_set[record_id].values
+
+    def _execute_write(self, ctx: TxContext, request: Request):
+        record_id = request.record_id
+        descriptor = self.descriptor(record_id)
+        if descriptor.home_node != ctx.node_id:
+            # Remote: HADES' write, buffered in the NIC (Module 4b).
+            lines = self.requested_lines(request)
+            address, size = self.requested_range(request)
+            partial = set(partially_covered_lines(address, size))
+            yield from self._remote_write_lines(
+                ctx, {descriptor.home_node: lines}, partial, request.value)
+            return
+        # Local: SW-Impl's write, read before written into the Write Set.
+        entry = ctx.write_set.get(record_id)
+        if entry is None:
             if record_id not in ctx.read_set:
-                yield from self._local_record_into_read_set(ctx, descriptor,
-                                                            CATEGORY_OTHER)
-            else:
-                yield ctx.charge_cpu(5, CATEGORY_OTHER)
-            ctx.read_results.append(ctx.read_set[record_id].values)
+                yield from self._local_record_into_read_set(
+                    ctx, descriptor, CATEGORY_RD_BEFORE_WR)
+            entry = WriteSetEntry(descriptor,
+                                  ctx.read_set[record_id].version)
+            ctx.write_set[record_id] = entry
+            yield ctx.charge_cpu(self.config.cost.write_set_insert_cycles,
+                                 CATEGORY_MANAGE_SETS)
+            yield ctx.charge_cpu_ns(
+                self.config.copy_ns(descriptor.data_bytes),
+                CATEGORY_MANAGE_SETS)
+        else:
+            yield ctx.charge_cpu(20, CATEGORY_MANAGE_SETS)
+        for line in self.requested_lines(request):
+            entry.pending[line] = request.value
 
     def _local_record_into_read_set(self, ctx: TxContext,
                                     descriptor: RecordDescriptor,
@@ -199,31 +180,6 @@ class HadesHybridProtocol(HadesProtocol):
                 descriptor, version, values)
             return
         raise SquashedError("read_retries_exhausted")
-
-    # -- remote operations: hardware, line granularity ---------------------
-
-    def _hardware_remote_op(self, ctx: TxContext, request: Request):
-        lines = self.requested_lines(request)
-        home = self.descriptor(request.record_id).home_node
-        if request.is_write:
-            address, size = self.requested_range(request)
-            partial = set(partially_covered_lines(address, size))
-            yield from self._remote_write_lines(ctx, {home: lines}, partial,
-                                                request.value)
-        else:
-            values: Dict[int, object] = {}
-            to_fetch = []
-            for line in lines:
-                if line in ctx.remote_cache:
-                    yield ctx.charge_cpu_ns(self._l1_ns)
-                    values[line] = ctx.remote_cache[line]
-                else:
-                    to_fetch.append(line)
-            if to_fetch:
-                fetched = yield from self._fetch_remote_reads(
-                    ctx, {home: to_fetch})
-                values.update(fetched)
-            ctx.read_results.append(values)
 
     # ------------------------------------------------------------------
     # commit (Section V-D)
