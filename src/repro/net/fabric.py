@@ -142,7 +142,10 @@ class Fabric:
         now = self.engine.now
         if self.recovery is not None:
             self.recovery.on_send(src, message)
-        egress_start = max(now, self._egress_free_at.get(src, 0.0))
+        # ``max(now, free_at)`` without the call (CoreClock.reserve's
+        # rule); the same float for every input.
+        free_at = self._egress_free_at.get(src, 0.0)
+        egress_start = free_at if free_at > now else now
         egress_done = egress_start + size / self._bytes_per_ns
         self._egress_free_at[src] = egress_done
         delivery_delay = (
