@@ -57,8 +57,16 @@ class TestEventCollection:
             assert (event["args"]["queue_ns"] + event["args"]["wire_ns"]
                     <= event["dur"] + 1e-9)
 
-    def test_squash_events_carry_reason(self):
-        tracer, result = traced_run(duration_ns=120_000.0)
+    @pytest.mark.parametrize("protocol,seed,duration_ns", [
+        ("hades", 7, 120_000.0),
+        # Each of these runs ends with an attempt frozen mid-cleanup:
+        # its squash is neither traced nor counted as an abort.
+        ("hades", 5, 60_000.0),
+        ("baseline", 7, 120_000.0),
+        ("hades-h", 2, 60_000.0),
+    ])
+    def test_squash_events_carry_reason(self, protocol, seed, duration_ns):
+        tracer, result = traced_run(protocol, duration_ns, seed)
         squashes = [e for e in tracer.events if e["name"] == "txn_squash"]
         assert len(squashes) == result.metrics.meter.aborted
         assert all(e["args"]["reason"] for e in squashes)
