@@ -28,10 +28,10 @@ from repro.workloads import MicroWorkload, make_workload
 
 GOLDEN = {
     ("hades", "ycsb"): dict(
-        bloom_read_ops=261845, bloom_write_ops=18008,
-        conflict_checks=54598, conflict_false_positives=22,
-        directory_block_spins=173, committed=241, aborted=105,
-        commits_after_retry=50, events=28376, messages=5470),
+        bloom_read_ops=260459, bloom_write_ops=18025,
+        conflict_checks=54454, conflict_false_positives=22,
+        directory_block_spins=163, committed=243, aborted=106,
+        commits_after_retry=51, events=28080, messages=5496),
     ("hades", "tpcc"): dict(
         bloom_read_ops=98796, bloom_write_ops=3021,
         conflict_checks=38308, conflict_false_positives=2,
