@@ -176,6 +176,10 @@ class HadesProtocol(ProtocolBase):
     def _execute_read(self, ctx: TxContext, request: Request):
         """Read only the cache lines the request's byte range covers."""
         lines = self.requested_lines(request)
+        # The lines' new masks in one hash batch.  Under Table III's
+        # sizes the home NICs' read BFs share this filter's hash family,
+        # so their inserts of the remote lines find the masks too.
+        ctx.local_state.read_bf.prehash(lines)
         values: Dict[int, object] = {}
         remote_by_node: Dict[int, List[int]] = {}
         for line in lines:

@@ -25,14 +25,17 @@ is one ``|=`` with a memoized per-key mask, a probe one ``&``, and
 The conflict checks of the directory, the NIC and the Module 3 table
 probe many filters for a few keys.  They go through the kernels at the
 end of this module (:func:`any_might_contain`,
-:func:`any_pair_might_contain`, :func:`scan_groups`), which stay the
-only code outside the filter classes that knows the bit layout.
+:func:`any_key_might_contain`, :func:`any_pair_might_contain`,
+:func:`scan_groups`), which stay the only code outside the filter
+classes that knows the bit layout.  The multi-key kernels settle a
+call no key can hit from the union of its filters' bits.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, KeysView, List, Sequence, Set, Tuple
+from typing import (Dict, Iterable, KeysView, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.hardware.crc import hash_family, shared_hash_family
 
@@ -43,6 +46,7 @@ __all__ = [
     "make_core_write_filter",
     "make_nic_filter_pair",
     "any_might_contain",
+    "any_key_might_contain",
     "any_pair_might_contain",
     "scan_groups",
     "hash_family",
@@ -140,17 +144,35 @@ class BloomFilter:
 
     def insert_all(self, keys: Iterable[int]) -> None:
         """Insert ``keys`` in bulk: the bits, counts and write accesses of
-        one :meth:`insert` per key."""
+        one :meth:`insert` per key, the new keys hashed in one batch."""
+        keys = list(keys)
         cache, family, distinct = self._mask_cache, self._family, self._keys
         bits = self._bitmask
         count = 0
         for key in keys:
-            bits |= cache.get(key) or family.mask(key)
+            mask = cache.get(key)
+            if mask is None:  # the first new key: hash them all at once
+                family.memoize(keys[count:])
+                mask = cache.get(key) or family.mask(key)
+            bits |= mask
             distinct[key] = None
             count += 1
         self._bitmask = bits
         self.inserted_count += count
         BloomFilter.total_write_ops += count
+
+    def prehash(self, keys: Sequence[int]) -> None:
+        """Hash the keys this filter has not seen the masks of, in one
+        batch, ahead of the inserts or probes that will need them.
+
+        Touches no bit and no counter: a mask is a pure function of the
+        key, so only the time later inserts and probes take changes.
+        """
+        cache = self._mask_cache
+        for key in keys:
+            if key not in cache:
+                self._family.memoize(keys)
+                return
 
     def might_contain(self, key: int) -> bool:
         """Membership test — may return false positives, never negatives."""
@@ -213,7 +235,8 @@ class SplitWriteBloomFilter:
         self.index_bits = index_bits
         self.llc_sets = llc_sets
         self.line_bytes = line_bytes
-        shape = (line_bytes, llc_sets, index_bits)
+        #: WrBF2's shape: filters of one shape set the same bit per key.
+        self._shape = shape = (line_bytes, llc_sets, index_bits)
         positions = _INDEX_POSITION_CACHES.get(shape)
         if positions is None:
             positions = _INDEX_POSITION_CACHES[shape] = {}
@@ -368,8 +391,11 @@ def make_nic_filter_pair(bloom_params) -> "tuple[BloomFilter, BloomFilter]":
 # keys.  These kernels make the decisions a loop of ``might_contain``
 # calls would, but look each key's mask (or WrBF2 bit) up once per hash
 # family per call, test a filter with one ``&`` against its live bit
-# array and reject an empty filter with a zero test.  Filters are read
-# at probe time, never copied: a locked filter may still gain keys.
+# array and reject an empty filter with a zero test.  A multi-key
+# kernel first tests its keys against the union of its filters' bits
+# (:func:`_union_misses`) and settles a call no key fits from the
+# counts alone.  Filters are read at probe time, never copied, and the
+# union is rebuilt on every call: a locked filter may still gain keys.
 # Each kernel charges ``total_read_ops`` exactly what its reference
 # loop (in the docstring) would, short-circuits included: one access
 # per section per probe, hit or miss.
@@ -383,6 +409,73 @@ def _key_masks(family, keys: Sequence[int], memo: dict) -> List[int]:
         masks = memo[family] = [cache.get(key) or family.mask(key)
                                 for key in keys]
     return masks
+
+
+def _key_positions(filt, keys: Sequence[int], memo: dict) -> List[int]:
+    """Split filter ``filt``'s WrBF2 position of each of ``keys``, looked
+    up once per call and shape."""
+    positions = memo.get(filt._shape)
+    if positions is None:
+        cache = filt._index_positions
+        positions = memo[filt._shape] = [
+            cache[key] if key in cache else filt._position(key)
+            for key in keys]
+    return positions
+
+
+def _union_misses(groups: Iterable[Sequence], keys: Sequence[int],
+                  memo: dict) -> Optional[int]:
+    """The sections of the filters of ``groups`` summed, if none of
+    ``keys`` fits the union of their bits; else None.
+
+    The union ORs the live bit arrays of the non-empty filters: the
+    plain filters' arrays, and the split filters' WrBF2 and WrBF1
+    arrays apart.  A key a filter might contain has all its bits set in
+    that filter, so in the union too: when no key fits, no probe of the
+    reference loop hits.  A key can fit the union without any one
+    filter holding it, so a fit settles nothing, and neither does a
+    call whose non-empty filters span more than one hash family or
+    split shape (None in both cases).  Uncounted.
+    """
+    sections = 0
+    family = split = None
+    plain = index = crc = 0
+    for group in groups:
+        for filt in group:
+            size = filt.sections
+            sections += size
+            bits = filt._bitmask
+            if not bits:
+                continue
+            if size == 1:
+                if family is None:
+                    family = filt._family
+                elif filt._family is not family:
+                    return None
+                plain |= bits
+            elif split is None:
+                split = filt
+                index = bits
+                crc = filt.crc_section._bitmask
+            elif (filt._shape == split._shape and filt.crc_section._family
+                  is split.crc_section._family):
+                index |= bits
+                crc |= filt.crc_section._bitmask
+            else:
+                return None
+    if plain:
+        for mask in _key_masks(family, keys, memo):
+            if plain & mask == mask:
+                return None
+    if index:
+        crc_family = split.crc_section._family
+        cache = crc_family._masks
+        for key, position in zip(keys, _key_positions(split, keys, memo)):
+            if index >> position & 1:
+                mask = cache.get(key) or crc_family.mask(key)
+                if crc & mask == mask:
+                    return None
+    return sections
 
 
 def _first_hit(filt, keys: Sequence[int], memo: dict, limit: int) -> int:
@@ -403,10 +496,7 @@ def _first_hit(filt, keys: Sequence[int], memo: dict, limit: int) -> int:
             if bits & mask == mask:
                 return index
         return limit
-    shape = id(filt._index_positions)
-    positions = memo.get(shape)
-    if positions is None:
-        positions = memo[shape] = [filt._position(key) for key in keys]
+    positions = _key_positions(filt, keys, memo)
     crc = filt.crc_section
     for index in range(limit):
         if bits >> positions[index] & 1:
@@ -446,6 +536,23 @@ def any_might_contain(filters: Sequence, key: int) -> bool:
     return True
 
 
+def any_key_might_contain(filters: Sequence, keys: Sequence[int]) -> bool:
+    """Might any of ``filters`` contain any of ``keys``?
+
+    Reference loop: ``any(any_might_contain(filters, key) for key in
+    keys)`` — key by key, each over the filters in order, stopping at
+    the first hit.
+    """
+    sections = _union_misses((filters,), keys, {})
+    if sections is not None:
+        BloomFilter.total_read_ops += len(keys) * sections
+        return False
+    for key in keys:
+        if any_might_contain(filters, key):
+            return True
+    return False
+
+
 def any_pair_might_contain(filters: Sequence, keys: Sequence[int]) -> bool:
     """Might any (read, write) pair contain any of ``keys``?
 
@@ -462,6 +569,10 @@ def any_pair_might_contain(filters: Sequence, keys: Sequence[int]) -> bool:
     if not count:
         return False
     memo: dict = {}
+    sections = _union_misses((filters,), keys, memo)
+    if sections is not None:
+        BloomFilter.total_read_ops += count * sections
+        return False
     accesses = 0
     for index in range(0, len(filters), 2):
         read_bf, write_bf = filters[index], filters[index + 1]
@@ -499,11 +610,15 @@ def scan_groups(groups: Sequence[Sequence],
     checks made, and the false-positive hits: hits on a key that no
     filter of the group has had inserted.
     """
-    if len(keys) == 1:
+    count = len(keys)
+    if count == 1:
         return _scan_one(groups, keys[0])
     memo: dict = {}
+    sections = _union_misses(groups, keys, memo)
+    if sections is not None:
+        BloomFilter.total_read_ops += count * sections
+        return [], count * len(groups), 0
     family = masks = None
-    count = len(keys)
     hits: List[int] = []
     checks = accesses = false_positives = 0
     for index, group in enumerate(groups):

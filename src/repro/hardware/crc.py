@@ -7,7 +7,8 @@ polynomial.  The simulator hashes with seeded SplitMix64 instead: CRC
 with a single polynomial is GF(2)-linear, so differently-seeded
 instances differ only by a constant, which ruins Bloom-filter
 independence (see :func:`hash_family`).  :class:`HashFamily` turns the
-seeded hashes into per-key Bloom bit masks.  Record placement
+seeded hashes into per-key Bloom bit masks, one key at a time or a
+batch of new keys in one :func:`splitmix64_lanes` call.  Record placement
 (:meth:`repro.cluster.cluster.Cluster.home_of`) and the hash index's
 buckets (:class:`repro.kvs.hashtable.HashTableStore`) use unseeded
 :func:`splitmix64`, which :func:`splitmix64_lanes` computes for a whole
@@ -150,6 +151,7 @@ class HashFamily:
     and probe with one ``&``.  Masks are memoized per key: workloads
     touch the same cache lines over and over, so after warm-up a probe
     is a dict hit plus one ``&`` instead of ``count`` SplitMix64 runs.
+    :meth:`memoize` fills the memo for a whole batch of keys at once.
 
     Instances are shared across filters of the same shape (see
     :func:`shared_hash_family`) — the hash depends only on
@@ -181,6 +183,35 @@ class HashFamily:
                 self._masks.clear()
             self._masks[key] = mask
         return mask
+
+    def memoize(self, keys: Sequence[int]) -> None:
+        """Memoize the masks of ``keys`` — the ones :meth:`mask` would.
+
+        The unmemoized keys are hashed in one :func:`splitmix64_lanes`
+        batch over every ``key ^ seed``, seed by seed, and each hash
+        taken ``% modulus``; a lone unmemoized key takes :meth:`mask`.
+        The safety valve drops the cache first when the batch would
+        take it past ``_CACHE_LIMIT``.  Callers look for an unmemoized
+        key first: after warm-up there is usually none.
+        """
+        cache = self._masks
+        missing = [key for key in keys if key not in cache]
+        count = len(missing)
+        if count < 2:
+            if count:
+                self.mask(missing[0])
+            return
+        modulus = self.modulus
+        hashes = splitmix64_lanes([key ^ seed for seed in self._seeds
+                                   for key in missing])
+        masks = [1 << value % modulus for value in hashes[:count]]
+        for start in range(count, len(hashes), count):
+            masks = [mask | 1 << value % modulus
+                     for mask, value in zip(masks,
+                                            hashes[start:start + count])]
+        if len(cache) + count > _CACHE_LIMIT:
+            cache.clear()
+        cache.update(zip(missing, masks))
 
 
 _FAMILIES: dict = {}

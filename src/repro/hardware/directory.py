@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.hardware.bloom import (
     BloomFilter,
+    any_key_might_contain,
     any_might_contain,
     any_pair_might_contain,
 )
@@ -157,6 +158,13 @@ class Directory:
         """Whole-directory locking: any buffer not ``requester``'s blocks."""
         return len(self._buffers) > (1 if requester in self._slots else 0)
 
+    def _others(self, filters: tuple, width: int,
+                requester: Tuple[int, int]) -> tuple:
+        """``filters`` less the ``width`` of them that belong to
+        ``requester``'s lock."""
+        start = width * self._slots[requester]
+        return filters[:start] + filters[start + width:]
+
     def read_blocked(self, line: int, requester: Optional[Tuple[int, int]] = None) -> bool:
         """Would a read of ``line`` be denied right now?
 
@@ -167,9 +175,8 @@ class Directory:
         if not self.partial:
             return self._locked_by_other(requester)
         filters = self._write_bfs
-        slot = self._slots.get(requester)
-        if slot is not None:  # a transaction's own lock never blocks it
-            filters = filters[:slot] + filters[slot + 1:]
+        if requester in self._slots:  # its own lock never blocks it
+            filters = self._others(filters, 1, requester)
         return any_might_contain(filters, line)
 
     def write_blocked(self, line: int, requester: Optional[Tuple[int, int]] = None) -> bool:
@@ -183,36 +190,44 @@ class Directory:
         if not self.partial:
             return self._locked_by_other(requester)
         filters = self._pair_bfs
-        slot = self._slots.get(requester)
-        if slot is not None:
-            filters = filters[:2 * slot] + filters[2 * slot + 2:]
+        if requester in self._slots:
+            filters = self._others(filters, 2, requester)
         return any_might_contain(filters, line)
 
-    def any_read_blocked(self, lines: Iterable[int],
+    def any_read_blocked(self, lines: Sequence[int],
                          requester: Optional[Tuple[int, int]] = None) -> bool:
         """Would a read of any of ``lines`` be denied right now?
 
-        One :meth:`read_blocked` per line, in order, up to the first
-        blocked line — the check every spin loop repeats.
+        The decision and Bloom read accesses of one :meth:`read_blocked`
+        per line, in order, up to the first blocked line — the check
+        every spin loop repeats — made in one kernel call over the line
+        list (:func:`~repro.hardware.bloom.any_key_might_contain`).
         """
-        read_blocked = self.read_blocked
-        for line in lines:
-            if read_blocked(line, requester):
-                return True
-        return False
+        if not self._buffers:
+            return False
+        if not self.partial:
+            return bool(lines) and self._locked_by_other(requester)
+        filters = self._write_bfs
+        if requester in self._slots:
+            filters = self._others(filters, 1, requester)
+        return any_key_might_contain(filters, lines)
 
-    def any_write_blocked(self, lines: Iterable[int],
+    def any_write_blocked(self, lines: Sequence[int],
                           requester: Optional[Tuple[int, int]] = None) -> bool:
         """Would a write of any of ``lines`` be denied right now?
 
-        One :meth:`write_blocked` per line, in order, up to the first
-        blocked line.
+        The decision and Bloom read accesses of one :meth:`write_blocked`
+        per line, in order, up to the first blocked line, made in one
+        kernel call over the line list.
         """
-        write_blocked = self.write_blocked
-        for line in lines:
-            if write_blocked(line, requester):
-                return True
-        return False
+        if not self._buffers:
+            return False
+        if not self.partial:
+            return bool(lines) and self._locked_by_other(requester)
+        filters = self._pair_bfs
+        if requester in self._slots:
+            filters = self._others(filters, 2, requester)
+        return any_key_might_contain(filters, lines)
 
     def lock_owners(self) -> List[Tuple[int, int]]:
         return [buffer.owner for buffer in self._buffers]

@@ -7,6 +7,12 @@ from repro.config import ClusterConfig, LivelockParams
 from repro.core import read, write
 from repro.core.api import TxStatus
 from repro.core.replication import HadesReplicatedProtocol, ReplicaStore
+from repro.hardware.bloom import BloomFilter
+from repro.net.messages import (
+    RdmaReadRequest,
+    RemoteWriteAccessRequest,
+    ReplyMessage,
+)
 from repro.sim.engine import Engine
 
 
@@ -218,3 +224,124 @@ class TestReplicatedCommit:
         assert home.memory.read_line(descriptor.lines[0]) == 12
         checked, mismatched = harness.protocol.verify_replicas()
         assert mismatched == 0
+
+
+class TestFailoverService:
+    """A request rerouted to a replica holder (docs/RECOVERY.md): the
+    serving node answers lines homed on another node from its permanent
+    replica copy, registers them in the requester's NIC filters and
+    waits out a Locking Buffer that holds one of them."""
+
+    OWNER = (0, 9)
+    LOCKER = (1, 4)
+
+    def setup(self):
+        """Four lines homed on node 1, replicated on node 2, and one
+        line homed on node 2 itself."""
+        harness = ReplicationHarness(replicas=1, nodes=3)
+        foreign = harness.cluster.allocate_record(1, 256, home=1).lines
+        own = harness.cluster.allocate_record(2, 64, home=2).lines
+        protocol = harness.protocol
+        assert {node for line in foreign
+                for node in protocol.replica_nodes_of_line(line)} == {2}
+        server = harness.cluster.node(2)
+        for line in foreign:
+            protocol.stores[2].permanent[line] = ("replica", line)
+            harness.cluster.node(1).memory.write_line(line, ("home", line))
+        server.memory.write_line(own[0], ("home", own[0]))
+        return harness, server, foreign, own
+
+    def serve(self, harness, server, serve, message, unlock_at=None):
+        """Run ``serve`` at the replica holder for a request from node
+        0; returns ``(delivery time, reply)`` of the one reply sent."""
+        protocol = harness.protocol
+        replies = []
+        send = protocol.send
+
+        def recording(src, dst, reply):
+            replies.append((harness.engine.now, dst, reply))
+            return send(src, dst, reply)
+
+        protocol.send = recording
+        harness.engine.process(serve(server, 0, message))
+        if unlock_at is not None:
+            def unlock():
+                yield unlock_at
+                assert not replies, "replied while the lock was held"
+                server.directory.unlock(self.LOCKER)
+
+            harness.engine.process(unlock())
+        harness.engine.run()
+        [(sent_at, dst, reply)] = replies
+        assert dst == 0 and isinstance(reply, ReplyMessage)
+        assert reply.token == message.token
+        return sent_at, reply
+
+    def lock(self, server, read_lines=(), write_lines=()):
+        read_bf, write_bf = BloomFilter(1024), BloomFilter(1024)
+        read_bf.insert_all(read_lines)
+        write_bf.insert_all(write_lines)
+        assert server.directory.try_lock(self.LOCKER, read_bf, write_bf, [])
+
+    def read_request(self, foreign, own):
+        return RdmaReadRequest(self.OWNER, lines=foreign + own,
+                               token=(self.OWNER, "rread", 1))
+
+    def write_request(self, foreign, own):
+        return RemoteWriteAccessRequest(
+            self.OWNER, all_lines=foreign + own,
+            partial_lines=[foreign[0], foreign[-1], own[0]],
+            token=(self.OWNER, "rwrite", 1))
+
+    def test_read_serves_foreign_lines_from_the_replica(self):
+        harness, server, foreign, own = self.setup()
+        message = self.read_request(foreign, own)
+        _, reply = self.serve(harness, server,
+                              harness.protocol._serve_remote_read, message)
+        assert reply.payload == {**{line: ("replica", line)
+                                    for line in foreign},
+                                 own[0]: ("home", own[0])}
+        state = server.nic.remote_state(self.OWNER)
+        assert list(state.read_bf.inserted_keys) == foreign + own
+        assert not state.write_bf.inserted_keys
+
+    def test_write_access_serves_foreign_partial_lines_from_the_replica(self):
+        harness, server, foreign, own = self.setup()
+        message = self.write_request(foreign, own)
+        _, reply = self.serve(
+            harness, server, harness.protocol._serve_remote_write_access,
+            message)
+        assert reply.payload == {foreign[0]: ("replica", foreign[0]),
+                                 foreign[-1]: ("replica", foreign[-1]),
+                                 own[0]: ("home", own[0])}
+        state = server.nic.remote_state(self.OWNER)
+        assert list(state.write_bf.inserted_keys) == message.partial_lines
+        assert not state.read_bf.inserted_keys
+
+    def test_read_waits_for_a_lock_on_a_foreign_line(self):
+        harness, server, foreign, own = self.setup()
+        self.lock(server, write_lines=[foreign[2]])
+        sent_at, reply = self.serve(
+            harness, server, harness.protocol._serve_remote_read,
+            self.read_request(foreign, own), unlock_at=1000.0)
+        assert sent_at >= 1000.0
+        assert reply.payload[foreign[2]] == ("replica", foreign[2])
+
+    def test_write_access_waits_for_a_lock_on_a_foreign_line(self):
+        harness, server, foreign, own = self.setup()
+        # A fully overwritten line is checked too: the lock's read BF
+        # holds a line the request writes but does not fetch.
+        self.lock(server, read_lines=[foreign[1]])
+        sent_at, reply = self.serve(
+            harness, server, harness.protocol._serve_remote_write_access,
+            self.write_request(foreign, own), unlock_at=1000.0)
+        assert sent_at >= 1000.0
+        assert foreign[1] not in reply.payload
+
+    def test_unlocked_requests_reply_at_once(self):
+        harness, server, foreign, own = self.setup()
+        self.lock(server, read_lines=[foreign[1]])  # blocks writes only
+        sent_at, _ = self.serve(harness, server,
+                                harness.protocol._serve_remote_read,
+                                self.read_request(foreign, own))
+        assert sent_at == 0.0

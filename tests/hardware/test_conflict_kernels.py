@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 
 from repro.cluster.node import Node
 from repro.config import BloomParams, ClusterConfig
+from repro.hardware import bloom
 from repro.hardware.bloom import (
     BloomFilter,
     SplitWriteBloomFilter,
+    any_key_might_contain,
+    any_might_contain,
+    any_pair_might_contain,
     scan_groups,
 )
 from repro.hardware.directory import Directory
@@ -40,18 +44,33 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def filters(draw, keys=KEY_SETS):
+def filters(draw, keys=KEY_SETS, plain=PLAIN_SHAPES, split=SPLIT_SHAPES):
     """A plain or split filter holding a drawn key set."""
     if draw(st.booleans()):
-        bits, hashes = draw(PLAIN_SHAPES)
+        bits, hashes = draw(plain)
         filt = BloomFilter(bits, hashes)
     else:
-        crc_bits, index_bits, llc_sets = draw(SPLIT_SHAPES)
+        crc_bits, index_bits, llc_sets = draw(split)
         filt = SplitWriteBloomFilter(crc_bits=crc_bits, index_bits=index_bits,
                                      llc_sets=llc_sets)
     for key in draw(keys):
         filt.insert(key)
     return filt
+
+
+#: Filters of one hash family and one split shape, mostly sparse: the
+#: multi-key kernels test a call's keys against the filters' union and
+#: settle the calls no key fits.
+UNION_FILTERS = filters(
+    keys=st.one_of(st.just([]), st.lists(LINES, min_size=1, max_size=4),
+                   st.lists(LINES, min_size=40, max_size=80)),
+    plain=st.just((64, 2)), split=st.just((64, 64, 64)))
+
+
+def filter_kinds():
+    """Per call: filters the union may settle, or filters of several
+    hash families and split shapes, which fall back to the exact loop."""
+    return st.sampled_from([UNION_FILTERS, filters()])
 
 
 def counted(call):
@@ -188,7 +207,8 @@ def local_fields(result):
 def test_directory_checks_match_reference(data):
     partial = data.draw(st.booleans(), label="partial")
     count = data.draw(st.integers(0, 5 if partial else 1), label="buffers")
-    buffers = [((node, slot), data.draw(filters()), data.draw(filters()))
+    kind = data.draw(filter_kinds(), label="filter kind")
+    buffers = [((node, slot), data.draw(kind), data.draw(kind))
                for slot, node in enumerate(
                    data.draw(st.lists(st.integers(0, 2), min_size=count,
                                       max_size=count)))]
@@ -219,8 +239,17 @@ def test_directory_checks_match_reference(data):
                 lambda: ref_first_blocked(
                     lambda line: ref_write_blocked(buffers, partial, line,
                                                    requester), lines))
+    # The list checks against the directory's own per-line checks.
+    assert_same(lambda: directory.any_read_blocked(lines, requester),
+                lambda: ref_first_blocked(
+                    lambda line: directory.read_blocked(line, requester),
+                    lines))
+    assert_same(lambda: directory.any_write_blocked(lines, requester),
+                lambda: ref_first_blocked(
+                    lambda line: directory.write_blocked(line, requester),
+                    lines))
 
-    newcomer = ((6, 6), data.draw(filters()), data.draw(filters()))
+    newcomer = ((6, 6), data.draw(kind), data.draw(kind))
     expected = counted(lambda: ref_try_lock(buffers, partial, 8, lines))
     assert counted(lambda: directory.try_lock(*newcomer, lines)) == expected
     if expected[0]:
@@ -248,6 +277,17 @@ def test_own_lock_never_blocks_its_owner():
     assert counted(lambda: directory.write_blocked(64, (0, 1))) == (
         False, 0, 0)
     assert directory.write_blocked(64, (0, 2))
+    # The list checks cut the requester's own buffer out too.
+    assert directory.try_lock((0, 2), BloomFilter(64), BloomFilter(64), [])
+    lines = [256, 128, 64]
+    for requester, blocked in (((0, 1), False), ((0, 2), True)):
+        for check, per_line in (
+                (directory.any_read_blocked, directory.read_blocked),
+                (directory.any_write_blocked, directory.write_blocked)):
+            assert_same(lambda: check(lines, requester),
+                        lambda: ref_first_blocked(
+                            lambda line: per_line(line, requester), lines))
+            assert check(lines, requester) is blocked
 
 
 # -- the NIC (Module 4a) -----------------------------------------------
@@ -341,24 +381,246 @@ def test_split_probe_hitting_wrbf2_only_is_a_miss():
 
 
 @SETTINGS
-@given(groups=st.lists(st.lists(filters(), min_size=1, max_size=3),
-                       max_size=5),
-       keys=st.lists(LINES, max_size=6))
-def test_scan_groups_matches_reference(groups, keys):
-    """Groups mixing filter kinds and hash families in one call."""
-    def reference():
-        hits, checks, false_positives = [], 0, 0
-        for index, group in enumerate(groups):
-            for key in keys:
-                checks += 1
-                if any([filt.might_contain(key) for filt in group]):
-                    hits.append(index)
-                    if not any(key in filt.inserted_keys for filt in group):
-                        false_positives += 1
-                    break
-        return hits, checks, false_positives
+@given(data=st.data())
+def test_scan_groups_matches_reference(data):
+    """Groups mixing filter kinds, in one hash family or several."""
+    kind = data.draw(filter_kinds(), label="filter kind")
+    groups = data.draw(st.lists(st.lists(kind, min_size=1, max_size=3),
+                                max_size=5), label="groups")
+    keys = data.draw(st.lists(LINES, max_size=6), label="keys")
+    assert_same(lambda: scan_groups(groups, keys),
+                lambda: ref_scan_groups(groups, keys))
 
-    assert_same(lambda: scan_groups(groups, keys), reference)
+
+def ref_scan_groups(groups, keys):
+    hits, checks, false_positives = [], 0, 0
+    for index, group in enumerate(groups):
+        for key in keys:
+            checks += 1
+            if any([filt.might_contain(key) for filt in group]):
+                hits.append(index)
+                if not any(key in filt.inserted_keys for filt in group):
+                    false_positives += 1
+                break
+    return hits, checks, false_positives
+
+
+# -- the multi-key kernels and their union ------------------------------
+
+
+def ref_any_key(filters, keys):
+    for key in keys:
+        for filt in filters:
+            if filt.might_contain(key):
+                return True
+    return False
+
+
+def ref_any_pair(filters, keys):
+    for index in range(0, len(filters), 2):
+        read_bf, write_bf = filters[index], filters[index + 1]
+        for key in keys:
+            if read_bf.might_contain(key) or write_bf.might_contain(key):
+                return True
+    return False
+
+
+@SETTINGS
+@given(data=st.data())
+def test_any_key_might_contain_matches_reference(data):
+    kind = data.draw(filter_kinds(), label="filter kind")
+    filts = data.draw(st.lists(kind, max_size=6), label="filters")
+    keys = data.draw(st.lists(LINES, max_size=8), label="keys")
+    assert_same(lambda: any_key_might_contain(filts, keys),
+                lambda: ref_any_key(filts, keys))
+    assert_same(lambda: any_key_might_contain(filts, keys),
+                lambda: any(any_might_contain(filts, key) for key in keys))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_any_pair_might_contain_matches_reference(data):
+    kind = data.draw(filter_kinds(), label="filter kind")
+    pairs = data.draw(st.lists(st.tuples(kind, kind), max_size=5),
+                      label="pairs")
+    filts = tuple(filt for pair in pairs for filt in pair)
+    keys = data.draw(st.lists(LINES, max_size=8), label="keys")
+    assert_same(lambda: any_pair_might_contain(filts, keys),
+                lambda: ref_any_pair(filts, keys))
+
+
+def family_mask(filt, key):
+    return filt._family.mask(key)
+
+
+def union_fit_without_a_hit():
+    """Plain filters ``a`` and ``b`` of one family and a key whose two
+    bits are one in each, so it fits their union but neither filter."""
+    shape = BloomFilter(64, 2)
+    lines = [64 * i for i in range(256)]
+    for key in lines:
+        first, second = (position for position in range(64)
+                         if family_mask(shape, key) >> position & 1)
+        one = [line for line in lines if family_mask(shape, line)
+               & family_mask(shape, key) == 1 << first]
+        other = [line for line in lines if family_mask(shape, line)
+                 & family_mask(shape, key) == 1 << second]
+        if one and other:
+            a, b = BloomFilter(64, 2), BloomFilter(64, 2)
+            a.insert(one[0])
+            b.insert(other[0])
+            return a, b, key
+    raise AssertionError("no such key")
+
+
+def split_fit_without_a_hit():
+    """Split filters of one shape and a key whose WrBF2 bit only ``a``
+    has and whose WrBF1 bit only ``b`` has."""
+    def split():
+        return SplitWriteBloomFilter(crc_bits=64, index_bits=64, llc_sets=64)
+
+    shape = split()
+    crc = shape.crc_section
+    key = 0
+    same_index = next(64 * i for i in range(64, 4096, 64)
+                      if crc._family.mask(64 * i) != crc._family.mask(key))
+    same_crc = next(64 * i for i in range(1, 4096)
+                    if i % 64 and crc._family.mask(64 * i)
+                    == crc._family.mask(key))
+    a, b = split(), split()
+    a.insert(same_index)
+    b.insert(same_crc)
+    return a, b, key
+
+
+def test_union_fit_without_a_single_filter_hit_runs_the_exact_loop():
+    for a, b, key in (union_fit_without_a_hit(), split_fit_without_a_hit()):
+        assert not a.might_contain(key) and not b.might_contain(key)
+        keys = [64 * 255, key, 64 * 254]
+        assert bloom._union_misses([(a, b)], keys, {}) is None
+        filts = (a, b)
+        assert_same(lambda: any_key_might_contain(filts, keys),
+                    lambda: ref_any_key(filts, keys))
+        assert_same(lambda: any_pair_might_contain(filts, keys),
+                    lambda: ref_any_pair(filts, keys))
+        groups = [(a,), (b, a)]
+        assert_same(lambda: scan_groups(groups, keys),
+                    lambda: ref_scan_groups(groups, keys))
+        assert scan_groups(groups, keys) == ([], 6, 0)
+
+
+def test_a_settled_call_probes_no_filter(monkeypatch):
+    """No key fits the union: the counts alone answer the call, also
+    for a key whose WrBF2 bit is set but whose WrBF1 bit is not."""
+    plain, split = BloomFilter(1024, 2), SplitWriteBloomFilter()
+    plain.insert(64)
+    split.insert(128)
+    wrbf2_only = next(128 + 64 * 4096 * i for i in range(1, 100)
+                      if not split.might_contain(128 + 64 * 4096 * i))
+    keys = [64 * i for i in range(3, 18)] + [wrbf2_only]
+    assert bloom._union_misses([(plain, split), ()], keys, {}) == 3
+
+    def no_probe(*args):
+        raise AssertionError("probed a filter")
+
+    monkeypatch.setattr(bloom, "any_might_contain", no_probe)
+    monkeypatch.setattr(bloom, "_first_hit", no_probe)
+    assert counted(lambda: any_key_might_contain((plain, split), keys)) == (
+        False, 16 * 3, 0)
+    assert counted(lambda: any_pair_might_contain((plain, split), keys)) == (
+        False, 16 * 3, 0)
+    assert counted(lambda: scan_groups([(plain, split), (plain,)], keys)) == (
+        ([], 32, 0), 16 * 4, 0)
+
+
+def test_two_hash_families_fall_back_to_the_exact_loop():
+    """A key held by a 1-hash filter whose 2-hash mask misses the union
+    of both filters' bits: only a per-filter test finds it."""
+    other = BloomFilter(64, 2)
+    other.insert(0)
+    for key in (64 * i for i in range(1, 256)):
+        held = BloomFilter(64, 1)
+        held.insert(key)
+        union = other._bitmask | held._bitmask
+        if union & family_mask(other, key) != family_mask(other, key):
+            break
+    filts = (other, held)
+    keys = [key]
+    assert bloom._union_misses([filts], keys, {}) is None
+    assert counted(lambda: any_key_might_contain(filts, keys)) == (True, 2, 0)
+    assert counted(lambda: any_pair_might_contain(filts, keys)) == (
+        True, 2, 0)
+    assert scan_groups([filts], keys + keys) == ([0], 1, 0)
+    empty = BloomFilter(64, 1)  # an empty filter's family never counts
+    assert bloom._union_misses([(other, empty)], [64], {}) is not None
+
+
+def test_two_split_shapes_fall_back_to_the_exact_loop():
+    """A key held by a split filter whose WrBF2 bit or WrBF1 mask in the
+    other filter's shape misses the union of both filters' arrays."""
+    other = SplitWriteBloomFilter(crc_bits=128, index_bits=32, llc_sets=128)
+    other.insert(0)
+    for key in (64 * i for i in range(1, 4096)):
+        held = SplitWriteBloomFilter(crc_bits=64, index_bits=64, llc_sets=64)
+        held.insert(key)
+        index = other._bitmask | held._bitmask
+        crc = other.crc_section._bitmask | held.crc_section._bitmask
+        mask = family_mask(other.crc_section, key)
+        if not (index >> other._position(key) & 1 and crc & mask == mask):
+            break
+    filts = (other, held)
+    keys = [64 * 9, key]
+    assert bloom._union_misses([filts], keys, {}) is None
+    assert_same(lambda: any_key_might_contain(filts, keys),
+                lambda: ref_any_key(filts, keys))
+    assert any_key_might_contain(filts, keys)
+
+
+def test_empty_key_lists():
+    plain, split = BloomFilter(64, 2), SplitWriteBloomFilter(
+        crc_bits=64, index_bits=64, llc_sets=64)
+    plain.insert(64)
+    split.insert(64)
+    assert counted(lambda: any_key_might_contain((plain, split), [])) == (
+        False, 0, 0)
+    assert counted(lambda: any_pair_might_contain((plain, split), [])) == (
+        False, 0, 0)
+    assert counted(lambda: scan_groups([(plain, split)], [])) == (
+        ([], 0, 0), 0, 0)
+    directory = Directory()
+    assert directory.try_lock((0, 1), plain, split, [])
+    assert counted(lambda: directory.any_read_blocked([], (0, 2))) == (
+        False, 0, 0)
+    assert counted(lambda: directory.any_write_blocked([], (0, 2))) == (
+        False, 0, 0)
+
+
+def test_a_key_inserted_after_locking_blocks():
+    """The union is rebuilt from the live filters on every call."""
+    directory = Directory()
+    read_bf, write_bf = BloomFilter(1024, 2), BloomFilter(1024, 2)
+    assert directory.try_lock((1, 1), read_bf, write_bf, [])
+    lines = [64 * i for i in range(16)]
+    assert not directory.any_read_blocked(lines, (0, 2))
+    assert not directory.any_write_blocked(lines, (0, 2))
+    read_bf.insert(lines[5])
+    assert not directory.any_read_blocked(lines, (0, 2))
+    assert directory.any_write_blocked(lines, (0, 2))
+    write_bf.insert(lines[9])
+    assert directory.any_read_blocked(lines, (0, 2))
+    read_bf.clear()
+    write_bf.clear()
+    assert not directory.any_write_blocked(lines, (0, 2))
+
+
+def test_whole_directory_lock_blocks_only_a_nonempty_list():
+    directory = Directory(partial=False)
+    read_bf, write_bf = BloomFilter(64), BloomFilter(64)
+    assert directory.try_lock((0, 1), read_bf, write_bf, [])
+    for check in (directory.any_read_blocked, directory.any_write_blocked):
+        assert counted(lambda: check([64], (0, 2))) == (True, 0, 0)
+        assert counted(lambda: check([], (0, 2))) == (False, 0, 0)
+        assert counted(lambda: check([64], (0, 1))) == (False, 0, 0)
 
 
 # -- bulk insert -------------------------------------------------------

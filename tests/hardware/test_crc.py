@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.crc import (crc32c, crc32c_int, hash_family, splitmix64,
-                                splitmix64_lanes)
+from repro.hardware.crc import (HashFamily, crc32c, crc32c_int, hash_family,
+                                splitmix64, splitmix64_lanes)
 
 
 def test_crc32c_known_vector():
@@ -87,3 +87,59 @@ def test_splitmix64_lanes_on_a_large_batch():
                  for key in range(3000)])
     assert splitmix64_lanes(values) == [splitmix64(value) for value in values]
     assert splitmix64_lanes(range(5000)) == list(map(splitmix64, range(5000)))
+
+
+def scalar_masks(count, modulus, keys):
+    """Each key's mask from a family that hashes one key at a time."""
+    family = HashFamily(count, modulus)
+    return {key: family.mask(key) for key in keys}
+
+
+@given(keys=st.lists(st.one_of(st.integers(0, 300),
+                               st.integers(-2 ** 70, 2 ** 70))),
+       count=st.integers(1, 4),
+       modulus=st.sampled_from([2, 3, 97, 512, 1000, 1024, 4093]))
+@example(keys=[5, 5, 5], count=2, modulus=1000)
+@example(keys=[-1, -(2 ** 64), 2 ** 64, 2 ** 64 + 1, 2 ** 200], count=3,
+         modulus=97)
+@settings(max_examples=200, deadline=None)
+def test_memoize_equals_the_scalar_mask(keys, count, modulus):
+    """Negative keys, keys of 2**64 or more, duplicates, 1-4 hashes and
+    moduli that are not powers of two."""
+    family = HashFamily(count, modulus)
+    warm = keys[::3]
+    family.memoize(warm)  # a lone key takes the scalar path
+    family.memoize(keys)
+    assert family._masks == scalar_masks(count, modulus, keys)
+
+
+def test_memoize_batches_only_unmemoized_keys(monkeypatch):
+    family = HashFamily(2, 1000)
+    family.mask(7)
+    calls = []
+    real = splitmix64_lanes
+
+    def counting(values):
+        calls.append(list(values))
+        return real(values)
+
+    monkeypatch.setattr("repro.hardware.crc.splitmix64_lanes", counting)
+    family.memoize([7, 8, 9, 8])
+    seeds = family._seeds
+    assert calls == [[key ^ seed for seed in seeds for key in (8, 9, 8)]]
+    family.memoize([7, 8, 9])
+    family.memoize([7, 10])  # one new key: the scalar path
+    assert len(calls) == 1
+    assert family._masks == scalar_masks(2, 1000, [7, 8, 9, 10])
+
+
+def test_memoize_keeps_the_cache_under_its_limit(monkeypatch):
+    monkeypatch.setattr("repro.hardware.crc._CACHE_LIMIT", 8)
+    family = HashFamily(2, 1000)
+    family.memoize(range(5))
+    assert len(family._masks) == 5
+    family.memoize(range(3, 9))  # 5 + 4 new keys > 8: dropped first
+    assert list(family._masks) == [5, 6, 7, 8]
+    family.memoize(range(9, 13))
+    assert len(family._masks) == 8
+    assert family._masks == scalar_masks(2, 1000, range(5, 13))
