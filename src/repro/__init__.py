@@ -33,7 +33,7 @@ from repro.core import (
     write,
 )
 from repro.core.replication import HadesReplicatedProtocol
-from repro.obs import EventTracer, LogHistogram, MessageStats, TimeSeriesSampler
+from repro.obs import EventTracer, LogHistogram, TelemetrySampler
 from repro.runner import (
     ExperimentResult,
     compare_protocols,
@@ -52,10 +52,9 @@ __all__ = [
     "HadesProtocol",
     "HadesReplicatedProtocol",
     "LogHistogram",
-    "MessageStats",
     "PROTOCOLS",
     "Request",
-    "TimeSeriesSampler",
+    "TelemetrySampler",
     "compare_protocols",
     "make_cluster_config",
     "normalized_throughput",

@@ -5,10 +5,13 @@ Subcommands:
 * ``run`` — one (protocol, workload) experiment; prints throughput,
   latency, abort rate, and the top counters.  ``--trace out.json``
   records a Chrome trace (Perfetto-loadable; ``.jsonl`` for line-JSON),
-  ``--metrics out.csv`` a sampled time series, ``--histogram-latency``
-  bounds latency memory on long runs.
+  ``--metrics out.csv`` a sampled time series (a CSV projection of the
+  telemetry snapshots, taken every ``--telemetry-interval-ns``),
+  ``--histogram-latency`` bounds latency memory on long runs.
 * ``profile`` — one traced experiment folded into per-phase and
-  per-message-type time attribution tables (see docs/OBSERVABILITY.md).
+  per-message-type time attribution tables (see docs/OBSERVABILITY.md);
+  the message table is a fold of the trace's ``net`` and
+  ``message_drop`` events.
 * ``report`` — cross-protocol transaction-lifecycle comparison:
   per-phase latency breakdown + abort taxonomy, from live runs or from
   saved ``run --spans-out`` dumps merged across runs.
@@ -74,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write an event trace (.jsonl = line-JSON, "
                             "anything else = Chrome trace for Perfetto)")
     run_p.add_argument("--metrics", metavar="PATH", default=None,
-                       help="write a sampled time-series CSV")
-    run_p.add_argument("--sample-us", type=float, default=10.0,
-                       help="sampling interval for --metrics (simulated us)")
+                       help="write a sampled time-series CSV, one row per "
+                            "telemetry snapshot (cadence: "
+                            "--telemetry-interval-ns)")
     run_p.add_argument("--histogram-latency", action="store_true",
                        help="record latencies into a bounded log-bucketed "
                             "histogram instead of an exact list")
@@ -328,15 +331,13 @@ def cmd_run(args) -> int:
         from repro.obs.spans import SpanRecorder
 
         spans = SpanRecorder()
-    sample_interval_ns = (args.sample_us * 1000.0 if args.metrics else None)
     fault_plan = _parse_fault_plan(args)
-    telemetry, telemetry_writer = _make_telemetry(args)
+    telemetry, telemetry_writer, csv_writer = _make_telemetry(args)
     result = run_experiment(args.protocol, workload, config=config,
                             duration_ns=args.duration_us * 1000.0,
                             warmup_ns=args.warmup_ns,
                             seed=args.seed, llc_sets=2048,
                             tracer=tracer,
-                            sample_interval_ns=sample_interval_ns,
                             bounded_latency=args.histogram_latency,
                             fault_plan=fault_plan,
                             spans=spans,
@@ -403,13 +404,10 @@ def cmd_run(args) -> int:
     if tracer is not None:
         tracer.save(args.trace)
         print(f"\ntrace: {len(tracer)} events -> {args.trace}")
-    if args.metrics:
-        from repro.obs.metrics import save_samples_csv
-
-        samples = result.samples or []
-        save_samples_csv(samples, args.metrics)
-        print(f"metrics: {len(samples)} samples -> {args.metrics}")
-    if telemetry is not None:
+    if csv_writer is not None:
+        csv_writer.close()
+        print(f"metrics: {csv_writer.lines} samples -> {args.metrics}")
+    if args.telemetry or args.telemetry_out:
         line = f"telemetry: {telemetry.taken} snapshots"
         if telemetry_writer is not None:
             telemetry_writer.close()
@@ -488,21 +486,28 @@ def _add_telemetry_arguments(parser) -> None:
 
 
 def _make_telemetry(args):
-    """``--telemetry*`` flags -> (sampler, writer); (None, None) off.
+    """``--telemetry*`` and ``--metrics`` flags -> (sampler, JSONL
+    writer, CSV writer); all None when every flag is off.
 
-    The writer (when ``--telemetry-out`` is set) is the sampler's sink,
-    so it sees every snapshot even after the ring buffer wraps; the
-    caller owns closing it.
+    Each writer (JSONL for ``--telemetry-out``, CSV for ``--metrics``)
+    is a sink of the one sampler, so it sees every snapshot even after
+    the ring buffer wraps; the caller owns closing them.
     """
-    if not (args.telemetry or args.telemetry_out):
-        return None, None
-    from repro.obs.telemetry import TelemetrySampler, TelemetryWriter
+    if not (args.telemetry or args.telemetry_out or args.metrics):
+        return None, None, None
+    from repro.obs.telemetry import (
+        SampleCsvWriter,
+        TelemetrySampler,
+        TelemetryWriter,
+        fan_out,
+    )
 
     writer = (TelemetryWriter(args.telemetry_out)
               if args.telemetry_out else None)
+    csv_writer = SampleCsvWriter(args.metrics) if args.metrics else None
     sampler = TelemetrySampler(interval_ns=args.telemetry_interval_ns,
-                               sink=writer)
-    return sampler, writer
+                               sink=fan_out(writer, csv_writer))
+    return sampler, writer, csv_writer
 
 
 def _add_recovery_arguments(parser) -> None:

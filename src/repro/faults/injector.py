@@ -33,9 +33,8 @@ class FaultInjector:
         #: decisions are emitted as category-``fault`` events.
         self.tracer = tracer
         #: Optional :class:`~repro.obs.spans.SpanRecorder` — counts
-        #: injected replica-persist failures for the span report
-        #: (message drops are recorded by the fabric, which enacts
-        #: them).  None by default (zero overhead).
+        #: injected message drops and replica-persist failures for the
+        #: span report.  None by default (zero overhead).
         self.spans = None
         self.rng = DeterministicRandom(f"faults:{plan.seed}")
         self.dropped = 0
@@ -94,9 +93,14 @@ class FaultInjector:
         self.dropped += 1
         self.drops_by_reason.add(reason)
         if self.tracer is not None:
+            # ``bytes`` lets the tracer's message fold count a drop as a
+            # send the NIC serialized (EventTracer.message_rows).
             self.tracer.fault(now, "message_drop", reason=reason,
-                              msg=type(message).__name__, src=src, dst=dst,
+                              msg=type(message).__name__,
+                              bytes=message.size_bytes(), src=src, dst=dst,
                               owner=list(message.owner))
+        if self.spans is not None:
+            self.spans.record_fault_drop(reason)
         return reason, 0.0
 
     # -- replica persists ----------------------------------------------

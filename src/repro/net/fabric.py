@@ -16,12 +16,12 @@ Fault injection hooks in via the :attr:`Fabric.faults` attribute: when a
 :class:`~repro.faults.injector.FaultInjector` is attached, every send
 asks it for a fate (drop, or extra delay from jitter / NIC stalls /
 crash windows) before scheduling delivery.  Dropped messages count in
-:attr:`Fabric.dropped_messages` and — when a
-:class:`~repro.obs.metrics.MessageStats` is attached — in the per-type
-drop column.  Injected delays never reorder messages between one
-``(src, dst)`` pair: protocol cleanup correctness relies on per-pair
-FIFO delivery, so delayed sends establish a delivery-time floor that
-later sends on the same pair cannot undercut.
+:attr:`Fabric.dropped_messages`; the injector itself reports each drop
+to the tracer and the span recorder.  Injected delays never reorder
+messages between one ``(src, dst)`` pair: protocol cleanup
+correctness relies on per-pair FIFO delivery, so delayed sends
+establish a delivery-time floor that later sends on the same pair
+cannot undercut.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ class Fabric:
         #: Optional :class:`~repro.obs.tracer.EventTracer` — records
         #: every send as a span.  None by default (zero overhead).
         self.tracer = None
-        #: Optional :class:`~repro.obs.metrics.MessageStats` — per-type
-        #: aggregation for ``repro profile``.  None by default.
-        self.stats = None
         #: Optional :class:`~repro.obs.spans.SpanRecorder` — per-type
         #: delivery-latency histograms for ``repro run --spans``.
         #: None by default (same zero-overhead contract as the tracer).
@@ -163,10 +160,6 @@ class Fabric:
                 # above); it just never arrives — waiters recover via
                 # request timeouts.
                 self.dropped_messages += 1
-                if self.stats is not None:
-                    self.stats.record_drop(type(message).__name__, size)
-                if self.spans is not None:
-                    self.spans.record_fault_drop(drop_reason)
                 return
             if extra_ns > 0.0:
                 delivery_delay += extra_ns
@@ -187,17 +180,13 @@ class Fabric:
                     self._pair_floor[pair] = (anchor, bumps)
                 else:
                     self._pair_floor[pair] = (delivery_at, 0)
-        if (self.tracer is not None or self.stats is not None
-                or self.spans is not None):
+        if self.tracer is not None or self.spans is not None:
             msg_type = type(message).__name__
-            queue_ns = egress_start - now
-            wire_ns = egress_done - egress_start
             if self.tracer is not None:
                 self.tracer.message_send(now, msg_type, src, dst, size,
-                                         queue_ns, wire_ns, delivery_delay)
-            if self.stats is not None:
-                self.stats.record(msg_type, size, queue_ns, wire_ns,
-                                  delivery_delay)
+                                         egress_start - now,
+                                         egress_done - egress_start,
+                                         delivery_delay)
             if self.spans is not None:
                 self.spans.record_message(msg_type, delivery_delay)
         self._schedule(delivery_delay, self._deliver, src, dst, message)

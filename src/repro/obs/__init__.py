@@ -1,11 +1,10 @@
-"""Observability: tracing, metrics, histograms, spans, SLOs, telemetry.
+"""Observability: tracing, histograms, spans, SLOs, telemetry.
 
-The package has eight modules:
+The package has seven modules:
 
 * :mod:`repro.obs.tracer` — structured event tracer (JSONL and Chrome
-  ``trace_event`` output; open the latter in Perfetto).
-* :mod:`repro.obs.metrics` — :class:`TimeSeriesSampler` (periodic gauge
-  rows → CSV) and :class:`MessageStats` (per-message-type fabric totals).
+  ``trace_event`` output; open the latter in Perfetto); its
+  ``message_rows`` fold gives per-message-type fabric totals.
 * :mod:`repro.obs.histogram` — :class:`LogHistogram`, the bounded-memory
   replacement for ``LatencyRecorder`` on long runs.
 * :mod:`repro.obs.spans` — transaction-lifecycle spans
@@ -16,8 +15,9 @@ The package has eight modules:
   declared on the cluster config and evaluated per run.
 * :mod:`repro.obs.telemetry` — live telemetry
   (:class:`TelemetrySampler`): periodic closed-schema snapshots of
-  gauges/counters with ring-buffer retention and JSONL streaming;
-  drives ``repro run --telemetry`` and feeds ``repro serve``.
+  gauges/counters with ring-buffer retention, JSONL streaming and the
+  ``--metrics`` CSV projection (:data:`SAMPLE_COLUMNS`); drives
+  ``repro run --telemetry`` / ``--metrics`` and feeds ``repro serve``.
 * :mod:`repro.obs.artifacts` — per-worker/per-cell artifact paths
   (:func:`tagged_path`) and the glob expansion readers use to merge
   the family back (:func:`expand_artifact_globs`).
@@ -37,12 +37,6 @@ from repro.obs.artifacts import (
     tagged_path,
 )
 from repro.obs.histogram import LogHistogram
-from repro.obs.metrics import (
-    MessageStats,
-    Sample,
-    TimeSeriesSampler,
-    save_samples_csv,
-)
 from repro.obs.slo import SLOParams, SLOReport, format_slo
 from repro.obs.spans import (
     ABORT_CLASSES,
@@ -53,8 +47,10 @@ from repro.obs.spans import (
     validate_spans,
 )
 from repro.obs.telemetry import (
+    SAMPLE_COLUMNS,
     SNAPSHOT_FIELDS,
     TELEMETRY_SCHEMA,
+    SampleCsvWriter,
     TelemetrySampler,
     TelemetryWriter,
     load_telemetry_jsonl,
@@ -66,17 +62,16 @@ __all__ = [
     "ABORT_CLASSES",
     "EventTracer",
     "LogHistogram",
-    "MessageStats",
+    "SAMPLE_COLUMNS",
     "SLOParams",
     "SLOReport",
     "SNAPSHOT_FIELDS",
     "SPAN_PHASES",
-    "Sample",
+    "SampleCsvWriter",
     "SpanRecorder",
     "TELEMETRY_SCHEMA",
     "TelemetrySampler",
     "TelemetryWriter",
-    "TimeSeriesSampler",
     "classify_abort",
     "expand_artifact_globs",
     "format_slo",
@@ -85,7 +80,6 @@ __all__ = [
     "load_jsonl",
     "load_telemetry_jsonl",
     "sanitize_tag",
-    "save_samples_csv",
     "tagged_path",
     "validate_jsonl",
     "validate_snapshot",

@@ -1,8 +1,8 @@
 """Per-phase / per-message-type time attribution (``repro profile``).
 
 :func:`profile_experiment` runs one (protocol, workload) experiment with
-the event tracer and fabric message statistics attached, then folds the
-collected events into a :class:`ProfileReport`:
+the event tracer attached, then folds the collected events into a
+:class:`ProfileReport`:
 
 * **phase attribution** — total simulated time committed transactions
   spent in each protocol phase (execution / validation / commit),
@@ -12,7 +12,9 @@ collected events into a :class:`ProfileReport`:
   committed attempts), so the report cross-checks the two and exposes
   the largest relative deviation (``phase_agreement``) — it should be 0.
 * **message attribution** — per message type: count, bytes, mean NIC
-  queueing delay, mean wire time, and total delivery time.
+  queueing delay, mean wire time, total delivery time and injected
+  drops, folded from the tracer's ``net`` and ``message_drop`` events
+  (:meth:`~repro.obs.tracer.EventTracer.message_rows`).
 
 Kept out of ``repro.obs.__init__`` on purpose: this module imports the
 runner (which imports ``sim.stats``, which imports
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_percent, format_table
-from repro.obs.metrics import MessageStats
 from repro.obs.tracer import EventTracer
 from repro.runner import ExperimentResult, run_experiment
 
@@ -86,17 +87,15 @@ def profile_experiment(
 ) -> ProfileReport:
     """Run one experiment with tracing on and fold the attribution."""
     tracer = EventTracer()
-    message_stats = MessageStats()
     result = run_experiment(protocol, workloads, config=config,
                             duration_ns=duration_ns, seed=seed,
                             llc_sets=llc_sets, tracer=tracer,
-                            message_stats=message_stats,
                             fault_plan=fault_plan)
     return ProfileReport(
         result=result,
         phase_totals=tracer.committed_phase_totals(),
         breakdown_totals=result.metrics.phases.as_dict(),
-        message_rows=message_stats.rows(),
+        message_rows=tracer.message_rows(),
         committed=result.metrics.meter.committed,
         attempts=tracer.attempt_count(),
         aborted=result.metrics.meter.aborted,

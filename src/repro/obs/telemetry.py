@@ -15,9 +15,12 @@ token levels, and the recovery epoch.  Snapshots feed three consumers:
   :attr:`~repro.runner.ExperimentResult.telemetry`;
 * an optional **sink** callable invoked with every snapshot dict — the
   seam ``repro serve`` uses to forward snapshots from a worker process
-  over a pipe, and ``repro sweep`` uses for per-cell heartbeats;
-* an optional streaming :class:`TelemetryWriter` producing a
-  ``TELEMETRY.jsonl`` file (one sorted-keys JSON object per line).
+  over a pipe, and ``repro sweep`` uses for per-cell heartbeats
+  (:func:`fan_out` feeds several sinks from one sampler);
+* optional streaming writers: :class:`TelemetryWriter` produces a
+  ``TELEMETRY.jsonl`` file (one sorted-keys JSON object per line), and
+  :class:`SampleCsvWriter` the ``repro run --metrics`` CSV, the
+  :data:`SAMPLE_COLUMNS` projection of each snapshot.
 
 Determinism contract (docs/SERVE.md): snapshot content derives **only**
 from simulated time and simulated state — no wall clock, no process
@@ -72,6 +75,21 @@ SNAPSHOT_FIELDS = (
     "lock_buffers_in_use",  # int — directory Locking Buffers held
     "bf_fill_ratio",     # float — mean Bloom fill over in-flight remote txns
     "recovery_epoch",    # int   — newest cluster epoch any node adopted
+)
+
+#: The ``repro run --metrics`` CSV columns, in order: a projection of
+#: each snapshot (documented in docs/OBSERVABILITY.md; keep the two in
+#: sync).
+SAMPLE_COLUMNS = (
+    "t_ns",
+    "committed",
+    "aborted",
+    "throughput_tps",
+    "abort_rate",
+    "inflight_txns",
+    "nic_remote_tx",
+    "lock_buffers_in_use",
+    "bf_fill_ratio",
 )
 
 NANOSECONDS_PER_SECOND = 1e9
@@ -267,11 +285,28 @@ def snapshot_line(snap: Dict[str, object]) -> str:
     return json.dumps(snap, sort_keys=True, separators=(",", ":"))
 
 
+def fan_out(*sinks):
+    """One sink that feeds each given sink in turn, skipping ``None``;
+    None when no sink is given."""
+    live = [sink for sink in sinks if sink is not None]
+    if len(live) < 2:
+        return live[0] if live else None
+
+    def sink(snap: Dict[str, object]) -> None:
+        for each in live:
+            each(snap)
+
+    return sink
+
+
 class TelemetryWriter:
     """Streaming JSONL sink: every snapshot becomes one line, written
     line-buffered so a killed run still leaves a readable prefix (same
     rationale as the tracer's streaming mode).  Use as a context
     manager or call :meth:`close`."""
+
+    #: Snapshot dict -> the line written for it.
+    format = staticmethod(snapshot_line)
 
     def __init__(self, path: str):
         self.path = path
@@ -279,7 +314,7 @@ class TelemetryWriter:
         self.lines = 0
 
     def __call__(self, snap: Dict[str, object]) -> None:
-        self._fh.write(snapshot_line(snap) + "\n")
+        self._fh.write(self.format(snap) + "\n")
         self._fh.flush()
         self.lines += 1
 
@@ -292,6 +327,22 @@ class TelemetryWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class SampleCsvWriter(TelemetryWriter):
+    """Streaming CSV sink behind ``repro run --metrics``: a header of
+    :data:`SAMPLE_COLUMNS`, then one row per snapshot with floats
+    printed as ``.6g``.  ``lines`` counts rows, not the header."""
+
+    def __init__(self, path: str):
+        super().__init__(path)
+        self._fh.write(",".join(SAMPLE_COLUMNS) + "\n")
+
+    @staticmethod
+    def format(snap: Dict[str, object]) -> str:
+        cells = (snap[column] for column in SAMPLE_COLUMNS)
+        return ",".join(f"{cell:.6g}" if isinstance(cell, float)
+                        else str(cell) for cell in cells)
 
 
 def validate_snapshot(snap: Dict[str, object]) -> None:

@@ -243,6 +243,47 @@ class EventTracer:
         return sum(1 for event in self.events
                    if event["name"] == "txn_begin")
 
+    def message_rows(self) -> List[tuple]:
+        """Per-message-type totals folded from the ``net`` events and
+        the ``message_drop`` fault events: (type, count, bytes, mean
+        queue ns, mean wire ns, total delivery ns, dropped), sorted by
+        descending total delivery time — ``repro profile``'s message
+        table.  A drop counts as a send, since the NIC serialized it,
+        but not in the means: an all-dropped type reports zero queue
+        and wire time."""
+        # type -> [count, bytes, queue, wire, delivery, dropped]
+        totals: Dict[str, list] = {}
+        for event in self.events:
+            cat = event["cat"]
+            args = event["args"]
+            if cat == "net":
+                name = event["name"]
+            elif cat == "fault" and event["name"] == "message_drop":
+                name = args["msg"]
+            else:
+                continue
+            row = totals.get(name)
+            if row is None:
+                row = totals[name] = [0, 0, 0.0, 0.0, 0.0, 0]
+            row[0] += 1
+            row[1] += args["bytes"]
+            if cat == "net":
+                row[2] += args["queue_ns"]
+                row[3] += args["wire_ns"]
+                row[4] += event["dur"]
+            else:
+                row[5] += 1
+        rows = []
+        for name, (count, size, queue, wire, delivery, dropped) \
+                in totals.items():
+            delivered = count - dropped
+            rows.append((name, count, size,
+                         queue / delivered if delivered else 0.0,
+                         wire / delivered if delivered else 0.0,
+                         delivery, dropped))
+        rows.sort(key=lambda row: -row[5])
+        return rows
+
     # -- output ---------------------------------------------------------
 
     def save(self, path: str) -> None:

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, FaultPlan
 from repro.core import PROTOCOLS
-from repro.obs.metrics import MessageStats, Sample, TimeSeriesSampler
 from repro.obs.slo import SLOReport
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import TelemetrySampler
@@ -46,10 +45,6 @@ class ExperimentResult:
     metrics: RunMetrics
     #: Per-workload metrics when running a mix (keyed by workload name).
     per_workload: Dict[str, RunMetrics] = field(default_factory=dict)
-    #: Time-series rows when ``sample_interval_ns`` was set; else None.
-    samples: Optional[List[Sample]] = None
-    #: Per-message-type fabric totals when a collector was passed in.
-    message_stats: Optional[MessageStats] = None
     #: Injected-fault totals when a fault plan was active; else None.
     fault_summary: Optional[Dict[str, int]] = None
     #: Recovery-plane totals (suspicions, epoch bumps, failover work)
@@ -73,6 +68,9 @@ class ExperimentResult:
     #: cost, pinned exactly per scenario by tests/test_golden_counters.py
     #: (see docs/PERFORMANCE.md, "What CI gates").
     events_processed: int = 0
+    #: Fabric sends during the run, warm-up and dropped sends included
+    #: (``Fabric.messages_sent``); pinned next to ``events_processed``.
+    messages_sent: int = 0
     #: Bloom-filter accesses *this run* performed (deltas of the
     #: process-global counters, so back-to-back runs in one process
     #: don't inherit each other's energy accounting — see
@@ -123,8 +121,6 @@ def run_experiment(
     seed: int = 42,
     llc_sets: Optional[int] = None,
     tracer: Optional[EventTracer] = None,
-    message_stats: Optional[MessageStats] = None,
-    sample_interval_ns: Optional[float] = None,
     bounded_latency: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     spans: Optional[SpanRecorder] = None,
@@ -133,12 +129,13 @@ def run_experiment(
     """Run one (protocol, workload[s], cluster) combination.
 
     Observability is opt-in and off by default: pass an
-    :class:`~repro.obs.tracer.EventTracer` to record structured events,
-    a :class:`~repro.obs.metrics.MessageStats` for per-message-type
-    fabric totals, ``sample_interval_ns`` to collect a time series of
-    cluster gauges (sampling starts after the warm-up), and
-    ``bounded_latency=True`` to record latencies into a bounded
-    histogram instead of an unbounded list.
+    :class:`~repro.obs.tracer.EventTracer` to record structured events
+    (its ``message_rows`` fold gives per-message-type fabric totals), a
+    :class:`~repro.obs.spans.SpanRecorder` for transaction-lifecycle
+    spans, a :class:`~repro.obs.telemetry.TelemetrySampler` for
+    periodic snapshots of cluster gauges (sampling starts after the
+    warm-up), and ``bounded_latency=True`` to record latencies into a
+    bounded histogram instead of an unbounded list.
 
     A ``fault_plan`` (see docs/FAULTS.md) attaches a seeded
     :class:`~repro.faults.injector.FaultInjector` to the fabric and the
@@ -195,8 +192,6 @@ def run_experiment(
             engine.tracer = tracer
             cluster.fabric.tracer = tracer
             proto.tracer = tracer
-        if message_stats is not None:
-            cluster.fabric.stats = message_stats
         if spans is not None:
             spans.reset()
             spans.protocol = proto.name
@@ -273,21 +268,15 @@ def run_experiment(
                 # Queue contents / latch / controller mode persist (they are
                 # system state); only the transient-era numbers are dropped.
                 load_driver.reset_stats()
-        sampler = None
-        if sample_interval_ns is not None:
-            # Installed after the warm-up so the series starts at the same
-            # point the aggregates measure from.
-            sampler = TimeSeriesSampler(sample_interval_ns)
-            engine.process(sampler.run(engine, proto, metrics, cluster),
-                           name="sampler")
         if telemetry is None and config.telemetry.enabled:
             telemetry = TelemetrySampler(
                 interval_ns=config.telemetry.interval_ns,
                 retain=config.telemetry.retain)
         if telemetry is not None:
-            # Installed after the warm-up like the time-series sampler; the
-            # sampler reads state, never mutates it, so the run's results
-            # stay bit-identical to a telemetry-off run.
+            # Installed after the warm-up, so the series starts at the
+            # same point the aggregates measure from.  The sampler reads
+            # state, never mutates it, so the run's results stay
+            # bit-identical to a telemetry-off run.
             telemetry.install(engine, proto, metrics, cluster,
                               load_driver=load_driver,
                               recovery_manager=recovery_manager,
@@ -314,8 +303,6 @@ def run_experiment(
         return ExperimentResult(
             protocol=protocol, workload=workload_name, config=config,
             metrics=metrics, per_workload=per_workload,
-            samples=sampler.samples if sampler else None,
-            message_stats=message_stats,
             spans=spans, slo=slo_report, load=load_summary,
             telemetry=telemetry,
             fault_summary=(injector.summary()
@@ -323,6 +310,7 @@ def run_experiment(
             recovery_summary=(recovery_manager.summary()
                               if recovery_manager is not None else None),
             events_processed=engine.events_processed,
+            messages_sent=cluster.fabric.messages_sent,
             bloom_read_ops=BloomFilter.total_read_ops - bloom_reads_before,
             bloom_write_ops=(BloomFilter.total_write_ops
                              - bloom_writes_before))

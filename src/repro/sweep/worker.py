@@ -59,21 +59,18 @@ def run_cell(cell, spans: bool = False,
     sampler = None
     writer = None
     if telemetry or telemetry_out or telemetry_sink is not None:
-        from repro.obs.telemetry import TelemetrySampler, TelemetryWriter
+        from repro.obs.telemetry import (
+            TelemetrySampler,
+            TelemetryWriter,
+            fan_out,
+        )
 
         if telemetry_out:
             writer = TelemetryWriter(tagged_path(telemetry_out,
                                                  cell.cell_id))
-        if writer is not None and telemetry_sink is not None:
-            file_sink = writer
-
-            def sink(snap, _file=file_sink, _fwd=telemetry_sink):
-                _file(snap)
-                _fwd(snap)
-        else:
-            sink = writer if writer is not None else telemetry_sink
         sampler = TelemetrySampler(interval_ns=telemetry_interval_ns,
-                                   sink=sink, run_label=cell.cell_id)
+                                   sink=fan_out(writer, telemetry_sink),
+                                   run_label=cell.cell_id)
     config = cell.config()
     try:
         result = run_experiment(cell.protocol, cell.workloads(),

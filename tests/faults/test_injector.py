@@ -9,7 +9,6 @@ from repro.faults.injector import (DROP_CRASH, DROP_CRASH_SENDER,
                                    DROP_RANDOM, FaultInjector)
 from repro.net.fabric import _FIFO_SPACING_NS, Fabric
 from repro.net.messages import AckMessage, RdmaReadRequest, ValidationMessage
-from repro.obs.metrics import MessageStats
 from repro.obs.tracer import EventTracer
 from repro.sim.engine import Engine
 
@@ -108,6 +107,7 @@ class TestTracerAndSummary:
         assert event["name"] == "message_drop"
         assert event["args"]["reason"] == DROP_RANDOM
         assert event["args"]["msg"] == "AckMessage"
+        assert event["args"]["bytes"] == AckMessage((7, 3)).size_bytes()
         assert event["args"]["owner"] == [7, 3]
 
     def test_persist_failure_decision_and_event(self):
@@ -154,8 +154,6 @@ class TestFabricIntegration:
         received = []
         fabric.register(0, lambda src, msg: None)
         fabric.register(1, lambda src, msg: received.append(msg))
-        stats = MessageStats()
-        fabric.stats = stats
         fabric.faults = ScriptedFaults([(DROP_RANDOM, 0.0), (None, 0.0)])
         lost = AckMessage(OWNER, token=1)
         kept = AckMessage(OWNER, token=2)
@@ -164,10 +162,31 @@ class TestFabricIntegration:
         engine.run()
         assert fabric.dropped_messages == 1
         assert received == [kept]
-        (name, count, _, _, _, _, dropped), = stats.rows()
-        assert name == "AckMessage"
-        assert count == 2 and dropped == 1  # drops still count as sends
-        assert stats.total_dropped == 1
+        # Drops still count as sends: the NIC serialized them.
+        assert fabric.messages_sent == 2
+        assert fabric.bytes_sent == lost.size_bytes() + kept.size_bytes()
+
+    def test_tracer_fold_matches_the_fabric_counters(self):
+        """The injector's drop events carry each drop's bytes, so the
+        tracer's message fold adds up to what the fabric sent."""
+        engine, fabric = make_fabric()
+        fabric.register(0, lambda src, msg: None)
+        fabric.register(1, lambda src, msg: None)
+        tracer = EventTracer()
+        fabric.tracer = tracer
+        fabric.faults = FaultInjector(FaultPlan(seed=4, drop_probability=0.5),
+                                      tracer=tracer)
+        for token in range(40):
+            message = (AckMessage(OWNER, token=token) if token % 2 else
+                       RdmaReadRequest(OWNER, lines=[token, token + 1],
+                                       token=token))
+            fabric.send(0, 1, message)
+        engine.run()
+        rows = tracer.message_rows()
+        assert 0 < fabric.dropped_messages < 40
+        assert sum(row[1] for row in rows) == fabric.messages_sent == 40
+        assert sum(row[2] for row in rows) == fabric.bytes_sent
+        assert sum(row[6] for row in rows) == fabric.dropped_messages
 
     def test_fifo_preserved_under_jitter(self):
         engine, fabric = make_fabric()

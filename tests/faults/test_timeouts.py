@@ -3,9 +3,16 @@ wake-up guarantees the fault layer leans on."""
 
 import pytest
 
+from repro.config import LivelockParams
+from repro.core import read
+from repro.core.api import TxStatus
 from repro.net.fabric import TIMED_OUT, RequestReplyHelper
+from repro.net.messages import ReplyMessage
 from repro.sim.engine import Engine
 from repro.sim.events import Interrupt
+from repro.verify.locks import find_leaks
+
+from tests.core.conftest import ProtocolHarness
 
 
 def wait_on(engine, event, log):
@@ -152,3 +159,66 @@ class TestStaleWakeGuard:
         # value resumes the process before the interrupt lands.
         assert log == [("interrupted", "race"), ("b", "fresh")]
         assert not process.is_alive
+
+
+class DropFirstReply:
+    """Fault stand-in: drops the first reply to one kind of request
+    (the kind is the second element of the request token)."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.dropped = 0
+
+    def message_fate(self, src, dst, message, now):
+        if (not self.dropped and isinstance(message, ReplyMessage)
+                and message.token[1] == self.kind):
+            self.dropped += 1
+            return "drop", 0.0
+        return None, 0.0
+
+
+class TestBaselinePessimisticTimeouts:
+    """A lost reply inside Baseline's pessimistic attempt: its locks
+    come back and the transaction still commits."""
+
+    def run_remote_read(self, kind):
+        harness = ProtocolHarness(
+            "baseline", livelock=LivelockParams(squash_threshold=0))
+        harness.add_record(1, home=1)
+        faults = DropFirstReply(kind)
+        harness.cluster.fabric.faults = faults
+        harness.protocol.replies.default_timeout_ns = 20_000.0
+        contexts = []
+
+        def driver():
+            contexts.append((yield from harness.protocol.execute(
+                0, 0, [read(1)])))
+
+        harness.engine.process(driver())
+        # Bounded: a leaked lock would stall the retry's lock
+        # acquisition forever.
+        harness.engine.run(until=1_000_000.0)
+        assert faults.dropped == 1
+        counters = harness.protocol.metrics.counters
+        assert counters.get("request_timeouts") == 1
+        assert contexts and contexts[0].status is TxStatus.COMMITTED
+        assert counters.get("pessimistic_commits") == 1
+        assert find_leaks(harness.cluster, harness.protocol) == []
+        assert harness.protocol.replies.outstanding == 0
+        return counters
+
+    def test_lost_read_reply_releases_the_locks(self):
+        """The read times out after the footprint is locked: the attempt
+        aborts with ``request_timeout`` and releases its lock, which a
+        retry under a new owner could never take otherwise."""
+        counters = self.run_remote_read("read")
+        assert counters.get("abort_reason_request_timeout") == 1
+        assert counters.get("aborts") == 1
+        assert counters.get("commits_after_retry") == 1
+
+    def test_lost_lock_grant_is_released_and_retried(self):
+        """The grant is lost after the home locked the record: the lock
+        is released defensively and taken again in the same attempt."""
+        counters = self.run_remote_read("plock")
+        assert counters.get("pessimistic_lock_timeouts") == 1
+        assert counters.get("aborts") == 0

@@ -167,10 +167,12 @@ class TestEndToEnd:
     def test_fault_drops_recorded(self):
         rec = SpanRecorder()
         plan = FaultPlan.parse("drop=0.05", seed=1)
-        run_experiment("hades", MicroWorkload(0.3, record_count=128),
-                       duration_ns=150_000.0, seed=4, llc_sets=256,
-                       fault_plan=plan, spans=rec)
-        assert rec.fault_drops
+        result = run_experiment("hades", MicroWorkload(0.3, record_count=128),
+                                duration_ns=150_000.0, seed=4, llc_sets=256,
+                                fault_plan=plan, spans=rec)
+        # Every injected drop, counted where the injector decides it.
+        assert rec.fault_drops == {"drop": result.fault_summary["drops_drop"]}
+        assert rec.fault_drops["drop"] > 0
         validate_spans(rec.as_dict())
 
     def test_crash_windows_stay_classified(self):

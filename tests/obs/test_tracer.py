@@ -27,8 +27,8 @@ class TestEventCollection:
     def test_untraced_run_attaches_nothing(self):
         result = run_experiment("hades", make_workload("HT-wA", scale=0.05),
                                 duration_ns=30_000.0, seed=7, llc_sets=512)
-        assert result.samples is None
-        assert result.message_stats is None
+        assert result.telemetry is None
+        assert result.spans is None
 
     def test_traced_run_collects_all_categories(self):
         tracer, result = traced_run()

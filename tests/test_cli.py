@@ -70,11 +70,18 @@ class TestCommands:
         csv = str(tmp_path / "m.csv")
         code = main(["run", "--protocol", "hades", "--workload", "ycsb",
                      "--scale", "0.05", "--duration-us", "60",
-                     "--trace", jsonl, "--metrics", csv])
+                     "--trace", jsonl, "--metrics", csv,
+                     "--telemetry-interval-ns", "20000"])
         assert code == 0
         assert validate_jsonl(jsonl) > 0
-        header = open(csv).readline()
-        assert header.startswith("t_ns,committed")
+        lines = open(csv).read().splitlines()
+        assert lines[0].startswith("t_ns,committed")
+        # 60 us at the 20 us telemetry cadence: three rows.
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [
+            20_000.0, 40_000.0, 60_000.0]
+        out = capsys.readouterr().out
+        assert f"metrics: 3 samples -> {csv}" in out
+        assert "telemetry:" not in out  # --metrics alone prints no line
         code = main(["run", "--protocol", "hades", "--workload", "ycsb",
                      "--scale", "0.05", "--duration-us", "60",
                      "--trace", chrome])

@@ -12,9 +12,10 @@ and the conflict counters depend on every Bloom probe and insert the
 protocols make, in the order they make them, so any change to how the
 directory, NIC or Module 3 checks probe their filters shows up here
 even when commits and aborts stay the same.  ``events`` (engine
-callbacks) and ``messages`` (fabric sends) are the simulator's own
-cost: an extra engine event per commit, or an extra message per
-transaction, moves them while every simulated result stays put.  The
+callbacks) and ``messages`` (``Fabric.messages_sent``) are the
+simulator's own cost: an extra engine event per commit, or an extra
+message per transaction, moves them while every simulated result stays
+put.  The
 values are exact and machine-independent; a deliberate change
 re-records them (docs/PERFORMANCE.md, "What CI gates").
 """
@@ -22,7 +23,6 @@ re-records them (docs/PERFORMANCE.md, "What CI gates").
 import pytest
 
 from repro.config import ClusterConfig, make_cluster_config
-from repro.obs.metrics import MessageStats
 from repro.runner import run_experiment
 from repro.workloads import MicroWorkload, make_workload
 
@@ -55,22 +55,19 @@ GOLDEN = {
 }
 
 
-def _run(protocol, workload, message_stats):
+def _run(protocol, workload):
     if workload == "micro_hot":
         return run_experiment(protocol, MicroWorkload(0.5, record_count=500),
                               config=ClusterConfig(nodes=3),
-                              duration_ns=40_000.0, seed=3, llc_sets=1024,
-                              message_stats=message_stats)
+                              duration_ns=40_000.0, seed=3, llc_sets=1024)
     return run_experiment(protocol, make_workload(workload, scale=0.05),
                           config=make_cluster_config("default"),
-                          duration_ns=100_000.0, seed=5, llc_sets=2048,
-                          message_stats=message_stats)
+                          duration_ns=100_000.0, seed=5, llc_sets=2048)
 
 
 @pytest.mark.parametrize("protocol,workload", sorted(GOLDEN))
 def test_counters_match_golden(protocol, workload):
-    stats = MessageStats()
-    result = _run(protocol, workload, stats)
+    result = _run(protocol, workload)
     counters = result.metrics.counters
     observed = dict(
         bloom_read_ops=result.bloom_read_ops,
@@ -82,6 +79,6 @@ def test_counters_match_golden(protocol, workload):
         aborted=result.metrics.meter.aborted,
         commits_after_retry=counters.get("commits_after_retry"),
         events=result.events_processed,
-        messages=stats.total_messages,
+        messages=result.messages_sent,
     )
     assert observed == GOLDEN[(protocol, workload)]
