@@ -9,8 +9,10 @@ matter how many squashes and retries the conflicts cause.
 This is the paper's motivation made concrete: the protocols deliver
 very different throughput, but the same serializable semantics.
 
-Run:  python examples/bank_transfers.py
+Run:  python examples/bank_transfers.py   (exits 1 if money is lost)
 """
+
+import sys
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
@@ -80,22 +82,25 @@ def run_protocol(name: str) -> dict:
     }
 
 
-def main() -> None:
+def main() -> int:
     clients = 3 * 4
     expected = ACCOUNTS * INITIAL_BALANCE
     print(f"{clients} clients x {TRANSFERS_PER_CLIENT} transfers over "
           f"{ACCOUNTS} accounts (expected total: {expected})\n")
     print(f"{'protocol':10s} {'total':>8s} {'elapsed':>12s} "
           f"{'committed':>10s} {'squashed':>9s}")
+    conserved = True
     for name in ("baseline", "hades-h", "hades"):
         stats = run_protocol(name)
+        conserved = conserved and stats["total"] == expected
         status = "OK " if stats["total"] == expected else "LOST MONEY!"
         print(f"{name:10s} {stats['total']:8d} "
               f"{stats['elapsed_us']:9.1f} us {stats['committed']:10d} "
               f"{stats['squashed']:9d}  {status}")
     print("\nEvery protocol conserves the total despite conflicting "
           "concurrent transfers — squashed attempts retried to commit.")
+    return 0 if conserved else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,10 +11,11 @@ Reproduces the paper's methodology end to end:
    checker (``repro.verify``);
 4. report Bloom-filter energy for the HADES run (Table III pJ/mW).
 
-Run:  python examples/verified_trace_replay.py
+Run:  python examples/verified_trace_replay.py   (exits 1 on a violation)
 """
 
 import itertools
+import sys
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
@@ -60,9 +61,12 @@ def trace_section(path: str) -> None:
                   f"{report.nj_per_transaction:.2f} nJ per transaction")
 
 
-def verified_contended_section() -> None:
+def verified_contended_section() -> bool:
+    """Run every protocol contended; True if every history is
+    serializable."""
     print("\nContended run + serializability verification "
           "(unique write tokens, DSG cycle check):")
+    serializable = True
     for protocol_name in ("baseline", "hades-h", "hades"):
         engine = Engine()
         cluster = Cluster(engine, CONFIG, llc_sets=256)
@@ -98,16 +102,18 @@ def verified_contended_section() -> None:
             engine.process(client(index))
         engine.run()
         result = checker.check()
+        serializable = serializable and bool(result)
         verdict = "serializable" if result else f"VIOLATION {result.cycle}"
         print(f"  {protocol_name:10s} {result.transactions} txns, "
               f"{result.edges} DSG edges, {protocol.metrics.meter.aborted} "
               f"squashes -> {verdict}")
+    return serializable
 
 
-def main() -> None:
+def main() -> int:
     trace_section("/tmp/hades_demo_trace.jsonl")
-    verified_contended_section()
+    return 0 if verified_contended_section() else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

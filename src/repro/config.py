@@ -567,66 +567,6 @@ class LoadParams:
 
 
 @dataclass(frozen=True)
-class TelemetryParams:
-    """Live telemetry sampling (docs/SERVE.md).
-
-    Disabled by default: no sampler process is installed and results
-    are bit-identical to a build without the telemetry layer.  With
-    ``enabled=True`` the runner installs a
-    :class:`~repro.obs.telemetry.TelemetrySampler` after the warm-up
-    that snapshots the closed gauge/counter schema every
-    ``interval_ns`` of *simulated* time, retaining the newest
-    ``retain`` snapshots in a ring buffer.
-    """
-
-    enabled: bool = False
-    #: Simulated-time cadence between snapshots.
-    interval_ns: float = 10_000.0
-    #: Ring-buffer retention (newest snapshots kept in memory; a JSONL
-    #: sink still sees every snapshot).
-    retain: int = 512
-
-    def __post_init__(self) -> None:
-        if self.interval_ns <= 0.0:
-            raise ValueError(
-                f"telemetry interval must be positive: {self.interval_ns}")
-        if self.retain < 1:
-            raise ValueError(f"telemetry retention must be >= 1: "
-                             f"{self.retain}")
-
-    @classmethod
-    def parse(cls, spec: str) -> "TelemetryParams":
-        """Build params from a ``--telemetry`` CLI spec string.
-
-        Comma-separated ``key=value`` pairs; the empty string (a bare
-        ``--telemetry`` flag) enables the defaults.  Keys: ``interval``
-        (ns), ``retain`` (snapshot count).  Example:
-        ``interval=5000,retain=1024``.
-        """
-        spec = spec.strip()
-        if spec.lower() in ("none", "off"):
-            return cls()
-        kwargs: Dict[str, object] = {"enabled": True}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"bad telemetry spec item {part!r} "
-                                 "(expected key=value)")
-            key, value = part.split("=", 1)
-            key = key.strip().lower()
-            value = value.strip()
-            if key == "interval":
-                kwargs["interval_ns"] = float(value)
-            elif key == "retain":
-                kwargs["retain"] = int(value)
-            else:
-                raise ValueError(f"unknown telemetry spec key {key!r}")
-        return cls(**kwargs)
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """One experiment's full machine description.
 
@@ -657,10 +597,6 @@ class ClusterConfig:
     #: budgets); disabled by default — closed-loop behaviour is then
     #: bit-identical to a build without the layer.  See docs/LOAD.md.
     load: LoadParams = field(default_factory=LoadParams)
-    #: Live telemetry sampling (snapshot cadence + retention); disabled
-    #: by default — results are then bit-identical to a build without
-    #: the telemetry layer.  See docs/SERVE.md.
-    telemetry: TelemetryParams = field(default_factory=TelemetryParams)
     #: Average number of distinct remote nodes per transaction (D in
     #: Section VI) — used only by the hardware cost calculator.
     remote_nodes_per_txn: float = 4.0

@@ -12,7 +12,10 @@ front).
 Every optimistic attempt runs the same loop (:meth:`ProtocolBase._attempt`):
 set up, execute each request, then validate and publish.  A protocol
 supplies only the phases — ``_init_attempt_state``, ``_execute_read``,
-``_execute_write`` and ``_commit``.
+``_execute_write`` and ``_commit``.  Every pessimistic attempt runs one
+loop too (:meth:`ProtocolBase._pessimistic_attempt`), with the phases
+``_lock_footprint``, ``_pessimistic_read``, ``_pessimistic_write`` and
+``_pessimistic_publish``.
 
 Squash delivery semantics (Section V-A):
 
@@ -188,30 +191,18 @@ class ProtocolBase:
                                                          footprint)
                 else:
                     yield from self._attempt(ctx, steps)
-            except SquashedError as error:
+            except (SquashedError, Interrupt) as error:
                 self._executing.pop((node_id, slot), None)
                 self._unregister(ctx)
                 footprint_set |= ctx.touched_records
                 footprint = sorted(footprint_set)
-                yield from self._drain_pending_interrupt(ctx, interrupted=False)
-                denied = (retry_policy is not None and
-                          not retry_policy.allow(self.engine.now, attempts))
-                yield from self._abort_attempt(
-                    ctx,
-                    "retry_budget_exhausted" if denied else error.reason,
-                    attempts, parent_txid=prev_txid, backoff=not denied)
-                if denied:
-                    return None
-                prev_txid = ctx.txid
-                attempts += 1
-                continue
-            except Interrupt as interrupt:
-                self._executing.pop((node_id, slot), None)
-                self._unregister(ctx)
-                footprint_set |= ctx.touched_records
-                footprint = sorted(footprint_set)
-                cause = interrupt.cause
-                reason = cause.reason if isinstance(cause, SquashCause) else "interrupt"
+                if isinstance(error, SquashedError):
+                    reason = error.reason
+                    yield from self._drain_pending_interrupt(ctx)
+                else:
+                    cause = error.cause
+                    reason = (cause.reason if isinstance(cause, SquashCause)
+                              else "interrupt")
                 if reason == "node_crash" and self.recovery is not None:
                     outcome = yield from self._resolve_crashed_attempt(
                         ctx, attempts, parent_txid=prev_txid)
@@ -220,16 +211,15 @@ class ProtocolBase:
                                             pessimistic,
                                             parent_txid=prev_txid)
                         return ctx
-                    prev_txid = ctx.txid
-                    attempts += 1
-                    continue
-                denied = (retry_policy is not None and
-                          not retry_policy.allow(self.engine.now, attempts))
-                yield from self._abort_attempt(
-                    ctx, "retry_budget_exhausted" if denied else reason,
-                    attempts, parent_txid=prev_txid, backoff=not denied)
-                if denied:
-                    return None
+                else:
+                    denied = (retry_policy is not None and
+                              not retry_policy.allow(self.engine.now,
+                                                     attempts))
+                    yield from self._abort_attempt(
+                        ctx, "retry_budget_exhausted" if denied else reason,
+                        attempts, parent_txid=prev_txid, backoff=not denied)
+                    if denied:
+                        return None
                 prev_txid = ctx.txid
                 attempts += 1
                 continue
@@ -301,6 +291,47 @@ class ProtocolBase:
         yield from self._commit(ctx)
 
     # ------------------------------------------------------------------
+    # the pessimistic attempt (livelock fallback, Section VI)
+    # ------------------------------------------------------------------
+
+    def _pessimistic_attempt(self, ctx: TxContext,
+                             requests: Iterable[Request],
+                             footprint: List[int]):
+        """Livelock fallback: lock ``footprint`` first, then execute.
+
+        ``footprint`` is the sorted list of record ids to lock up front
+        (exact for list specs, learned from prior attempts for
+        interactive bodies).  A request outside the footprint raises
+        SquashedError("footprint_miss"): the driver widens the footprint
+        and retries, and the protocol's cleanup releases the locks.
+        With every lock held the attempt is trivially valid, so
+        Validation opens straight onto the publish.
+        """
+        self._init_attempt_state(ctx)
+        yield from self._lock_footprint(ctx, footprint)
+        footprint_set = set(footprint)
+        touched = ctx.touched_records
+        read_results = ctx.read_results
+        default_work = self.config.cost.request_work_cycles
+        for request in requests:
+            touched.add(request.record_id)
+            if request.record_id not in footprint_set:
+                self.metrics.counters.add("pessimistic_footprint_misses")
+                raise SquashedError("footprint_miss")
+            work = request.work_cycles
+            yield ctx.charge_cpu(work if work is not None else default_work)
+            if request.kind == "write":
+                yield from self._pessimistic_write(ctx, request)
+            else:
+                result = yield from self._pessimistic_read(ctx, request)
+                read_results.append(result)
+        ctx.begin_phase(PHASE_VALIDATION)
+        yield from self._pessimistic_publish(ctx)
+        # The publish ends in a region without suspension points, so a
+        # node crash never interleaves with a half-published commit.
+        ctx.applied = True
+
+    # ------------------------------------------------------------------
     # hooks for subclasses
     # ------------------------------------------------------------------
 
@@ -320,17 +351,20 @@ class ProtocolBase:
         """Validate the attempt and publish its writes."""
         raise NotImplementedError
 
-    def _pessimistic_attempt(self, ctx: TxContext,
-                             requests: Iterable[Request],
-                             footprint: List[int]):
-        """Livelock fallback: lock ``footprint`` first, then execute.
+    def _lock_footprint(self, ctx: TxContext, footprint: List[int]):
+        """Take every permission on ``footprint`` (pessimistic mode)."""
+        raise NotImplementedError
 
-        ``footprint`` is the sorted list of record ids to lock up front
-        (exact for list specs, learned from prior attempts for
-        interactive bodies).  A request outside the footprint raises
-        SquashedError("footprint_miss"): the driver widens the footprint
-        and retries.
-        """
+    def _pessimistic_read(self, ctx: TxContext, request: Request):
+        """Execute one read under the footprint's locks; returns values."""
+        raise NotImplementedError
+
+    def _pessimistic_write(self, ctx: TxContext, request: Request):
+        """Buffer one write under the footprint's locks."""
+        raise NotImplementedError
+
+    def _pessimistic_publish(self, ctx: TxContext):
+        """Publish a pessimistic attempt's writes and release its locks."""
         raise NotImplementedError
 
     def _cleanup_after_squash(self, ctx: TxContext):
@@ -357,7 +391,7 @@ class ProtocolBase:
     def active_tx(self, owner: Owner) -> Optional[ActiveTx]:
         return self._active.get(owner)
 
-    def _drain_pending_interrupt(self, ctx: TxContext, interrupted: bool):
+    def _drain_pending_interrupt(self, ctx: TxContext):
         """Absorb an in-flight squash interrupt racing a self-squash.
 
         If the attempt unwound via :class:`SquashedError` while a remote
@@ -365,7 +399,7 @@ class ProtocolBase:
         :meth:`squash`), the Interrupt is still in the event queue; one
         zero-delay wait absorbs it before cleanup proceeds.
         """
-        if interrupted or not ctx.squashed:
+        if not ctx.squashed:
             return
         try:
             yield self.engine.timeout(0.0)
@@ -400,19 +434,8 @@ class ProtocolBase:
             ctx.finish(TxStatus.COMMITTED)
             return True
         ctx.finish(TxStatus.SQUASHED)
-        if self.tracer is not None:
-            self.tracer.txn_squash(self.engine.now, ctx.node_id, ctx.slot,
-                                   ctx.txid, "node_crash", ctx.phase_durations)
-        if ctx.spans is not None:
-            ctx.spans.record_attempt(
-                ctx.node_id, ctx.slot, ctx.txid, attempts,
-                committed=False, phases=ctx.span_durations,
-                reason="node_crash",
-                abort_class=classify_abort("node_crash"),
-                parent_txid=parent_txid)
-        self.metrics.meter.abort()
-        self.metrics.counters.add("aborts")
-        self.metrics.counters.add("abort_reason_node_crash")
+        self._record_abort(ctx, "node_crash", attempts, parent_txid,
+                           self.engine.now)
         return False
 
     def note_retry_wait(self, delay_ns: float) -> None:
@@ -435,23 +458,11 @@ class ProtocolBase:
         ctx.finish(TxStatus.SQUASHED)
         squashed_at = self.engine.now
         yield from self._cleanup_after_squash(ctx)
-        # Recorded *after* the cleanup yields, adjacent to the meter
-        # update: an attempt frozen mid-cleanup at run end must count in
-        # none or all of trace, spans and meter, or their abort totals
-        # drift apart.  The trace event keeps the squash's own time.
-        if self.tracer is not None:
-            self.tracer.txn_squash(squashed_at, ctx.node_id, ctx.slot,
-                                   ctx.txid, reason, ctx.phase_durations)
-        if ctx.spans is not None:
-            ctx.spans.record_attempt(
-                ctx.node_id, ctx.slot, ctx.txid, attempts,
-                committed=False, phases=ctx.span_durations,
-                reason=reason,
-                abort_class=classify_abort(reason, ctx.squash_reason),
-                parent_txid=parent_txid)
-        self.metrics.meter.abort()
-        self.metrics.counters.add("aborts")
-        self.metrics.counters.add(f"abort_reason_{reason}")
+        # Recorded *after* the cleanup yields: an attempt frozen
+        # mid-cleanup at run end must count in none or all of trace,
+        # spans and meter, or their abort totals drift apart.  The trace
+        # event keeps the squash's own time.
+        self._record_abort(ctx, reason, attempts, parent_txid, squashed_at)
         if not backoff:
             # Retry denied (budget exhausted): no backoff draw, so the
             # closed-loop rng stream is untouched by the policy check.
@@ -465,6 +476,23 @@ class ProtocolBase:
         if delay > 0:
             self.note_retry_wait(delay)
             yield delay
+
+    def _record_abort(self, ctx: TxContext, reason: str, attempts: int,
+                      parent_txid, squashed_at: float) -> None:
+        """Count one aborted attempt in the trace, the spans and the meter."""
+        if self.tracer is not None:
+            self.tracer.txn_squash(squashed_at, ctx.node_id, ctx.slot,
+                                   ctx.txid, reason, ctx.phase_durations)
+        if ctx.spans is not None:
+            ctx.spans.record_attempt(
+                ctx.node_id, ctx.slot, ctx.txid, attempts,
+                committed=False, phases=ctx.span_durations,
+                reason=reason,
+                abort_class=classify_abort(reason, ctx.squash_reason),
+                parent_txid=parent_txid)
+        self.metrics.meter.abort()
+        self.metrics.counters.add("aborts")
+        self.metrics.counters.add(f"abort_reason_{reason}")
 
     def _record_commit(self, ctx: TxContext, first_started: float,
                        attempts: int, pessimistic: bool,

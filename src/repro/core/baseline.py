@@ -41,7 +41,6 @@ from repro.core.txn import (
     CATEGORY_READ_ATOMICITY,
     CATEGORY_UPDATE_VERSION,
     PHASE_COMMIT,
-    PHASE_VALIDATION,
     TxContext,
 )
 from repro.net.fabric import TIMED_OUT
@@ -249,6 +248,7 @@ class BaselineProtocol(ProtocolBase):
                 raise SquashedError("lock_conflict_local")
             locked_local.append(meta)
 
+        locked_remote: Dict[int, List[int]] = {}
         if by_node:
             messages = []
             for node_id, entries in by_node.items():
@@ -256,6 +256,7 @@ class BaselineProtocol(ProtocolBase):
                                      CATEGORY_CONFLICT_DETECTION)
                 token = (ctx.owner, "lock", node_id)
                 addresses = [e.descriptor.address for e in entries]
+                locked_remote[node_id] = addresses
                 versions = [e.version_at_read for e in entries]
                 messages.append((node_id,
                                  BatchedLockRequest(ctx.owner,
@@ -277,15 +278,15 @@ class BaselineProtocol(ProtocolBase):
                              in zip(messages, results)
                              if ok or ok is TIMED_OUT]
                 for node_id in to_unlock:
-                    addresses = [e.descriptor.address for e in by_node[node_id]]
                     self.send(ctx.node_id, node_id,
-                              BatchedUnlockRequest(ctx.owner,
-                                                   record_addresses=addresses))
+                              BatchedUnlockRequest(
+                                  ctx.owner,
+                                  record_addresses=locked_remote[node_id]))
                 if timed_out:
                     self.metrics.counters.add("lock_timeouts")
                     raise SquashedError("lock_timeout")
                 raise SquashedError("lock_conflict_remote")
-        ctx.baseline_locked = (locked_local, by_node)
+        ctx.baseline_locked = (locked_local, locked_remote)
 
     def _validate_read_set(self, ctx: TxContext,
                            read_set: Dict[int, ReadSetEntry],
@@ -302,7 +303,7 @@ class BaselineProtocol(ProtocolBase):
             meta = ctx.node.memory.metadata(entry.descriptor.address)
             if meta.version != entry.version or (
                     meta.locked and meta.lock_owner != ctx.owner):
-                self._release_validation_locks(ctx)
+                self._release_record_locks(ctx)
                 raise SquashedError("validation_conflict_local")
         if by_node:
             messages = []
@@ -320,7 +321,7 @@ class BaselineProtocol(ProtocolBase):
             results = yield self.request_all(ctx.node_id, messages)
             if any(payload is TIMED_OUT for payload in results):
                 self.metrics.counters.add("validation_timeouts")
-                self._release_validation_locks(ctx)
+                self._release_record_locks(ctx)
                 raise SquashedError("validation_timeout")
             for (node_id, _m, _t), payload in zip(messages, results):
                 entries = by_node[node_id]
@@ -328,23 +329,26 @@ class BaselineProtocol(ProtocolBase):
                     yield ctx.charge_cpu(cost.version_compare_cycles,
                                          CATEGORY_CONFLICT_DETECTION)
                     if version != entry.version or locked_by_other:
-                        self._release_validation_locks(ctx)
+                        self._release_record_locks(ctx)
                         raise SquashedError("validation_conflict_remote")
 
-    def _release_validation_locks(self, ctx: TxContext) -> None:
-        """Abort after locking succeeded: release everything (no stall)."""
+    def _release_record_locks(self, ctx: TxContext) -> None:
+        """Release every record lock the attempt holds (no stall).
+
+        ``ctx.baseline_locked`` is (local metadata, {node: addresses}):
+        the Write Set's locks once validation locked them, or a
+        pessimistic attempt's footprint.
+        """
         locked = getattr(ctx, "baseline_locked", None)
         if not locked:
             return
-        locked_local, by_node = locked
+        locked_local, locked_remote = locked
         for meta in locked_local:
             meta.unlock(ctx.owner)
-        for node_id, entries in by_node.items():
+        for node_id, addresses in locked_remote.items():
             self.send(ctx.node_id, node_id,
-                      BatchedUnlockRequest(
-                          ctx.owner,
-                          record_addresses=[e.descriptor.address
-                                            for e in entries]))
+                      BatchedUnlockRequest(ctx.owner,
+                                           record_addresses=addresses))
         ctx.baseline_locked = None
 
     # -- commit: validation, then publish ----------------------------------
@@ -412,71 +416,67 @@ class BaselineProtocol(ProtocolBase):
         ctx.applied = True
 
     # ------------------------------------------------------------------
-    # pessimistic fallback (livelock avoidance, Section VI)
+    # pessimistic fallback (the loop is ProtocolBase._pessimistic_attempt)
     # ------------------------------------------------------------------
 
-    def _pessimistic_attempt(self, ctx: TxContext, requests,
-                             footprint: List[int]):
-        """Lock the footprint up front (global record-id order), then run."""
-        cost = self.config.cost
-        footprint_set = set(footprint)
-        locked: List[Tuple[int, RecordDescriptor]] = []
+    def _lock_footprint(self, ctx: TxContext, footprint: List[int]):
+        """Lock the footprint's records up front, in global record-id order.
+
+        The locks are recorded as they are taken, so a squash at any
+        point releases exactly the ones held (in the cleanup).
+        """
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_LOCK_ACQUIRE)
+        locked_local: List[RecordMetadata] = []
+        locked_remote: Dict[int, List[int]] = {}
+        ctx.baseline_locked = (locked_local, locked_remote)
         for record_id in footprint:
             descriptor = self.descriptor(record_id)
             yield from self._acquire_record_lock(ctx, descriptor)
-            locked.append((record_id, descriptor))
+            if descriptor.home_node == ctx.node_id:
+                locked_local.append(
+                    ctx.node.memory.metadata(descriptor.address))
+            else:
+                locked_remote.setdefault(descriptor.home_node, []).append(
+                    descriptor.address)
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_EXECUTE)
 
-        self._init_attempt_state(ctx)
-        read_set, write_set = ctx.read_set, ctx.write_set
-        for request in requests:
-            ctx.touched_records.add(request.record_id)
-            if request.record_id not in footprint_set:
-                # Outside the learned footprint: release every lock and
-                # let the driver widen the footprint and retry.
-                self.metrics.counters.add("pessimistic_footprint_misses")
-                self._release_pessimistic_locks(ctx, locked)
-                raise SquashedError("footprint_miss")
-            work = request.work_cycles
-            yield ctx.charge_cpu(work if work is not None
-                                 else cost.request_work_cycles, CATEGORY_OTHER)
-            descriptor = self.descriptor(request.record_id)
-            if request.record_id not in read_set:
-                try:
-                    version, locked_flag, _consistent, values = (
-                        yield from (self._local_record_read(ctx, descriptor,
-                                                            CATEGORY_OTHER)
-                                    if descriptor.home_node == ctx.node_id else
-                                    self._remote_record_read(ctx, descriptor,
-                                                             CATEGORY_OTHER)))
-                except SquashedError:
-                    # Baseline cleanup does not release locks; a read
-                    # timeout mid-pessimistic-run must do it here.
-                    self._release_pessimistic_locks(ctx, locked)
-                    raise
-                read_set[request.record_id] = ReadSetEntry(descriptor, version,
-                                                           values)
-            if request.is_write:
-                entry = write_set.setdefault(
-                    request.record_id,
-                    WriteSetEntry(descriptor,
-                                  read_set[request.record_id].version))
-                for line in self.requested_lines(request):
-                    entry.pending[line] = request.value
-            else:
-                merged = dict(read_set[request.record_id].values)
-                if request.record_id in write_set:
-                    merged.update(write_set[request.record_id].pending)
-                ctx.read_results.append(merged)
+    def _pessimistic_read(self, ctx: TxContext, request: Request):
+        entry = yield from self._locked_record(ctx, request.record_id)
+        merged = dict(entry.values)
+        if request.record_id in ctx.write_set:
+            merged.update(ctx.write_set[request.record_id].pending)
+        return merged
 
-        ctx.begin_phase(PHASE_VALIDATION)  # trivially valid: all locked
-        ctx.begin_phase(PHASE_COMMIT)
+    def _pessimistic_write(self, ctx: TxContext, request: Request):
+        read_entry = yield from self._locked_record(ctx, request.record_id)
+        entry = ctx.write_set.get(request.record_id)
+        if entry is None:
+            entry = WriteSetEntry(read_entry.descriptor, read_entry.version)
+            ctx.write_set[request.record_id] = entry
+        for line in self.requested_lines(request):
+            entry.pending[line] = request.value
+
+    def _locked_record(self, ctx: TxContext, record_id: int):
+        """The Read Set entry of a record whose lock the attempt holds,
+        read from its home on first use."""
+        entry = ctx.read_set.get(record_id)
+        if entry is None:
+            descriptor = self.descriptor(record_id)
+            version, _locked, _consistent, values = yield from (
+                self._local_record_read(ctx, descriptor, CATEGORY_OTHER)
+                if descriptor.home_node == ctx.node_id else
+                self._remote_record_read(ctx, descriptor, CATEGORY_OTHER))
+            entry = ReadSetEntry(descriptor, version, values)
+            ctx.read_set[record_id] = entry
+        return entry
+
+    def _pessimistic_publish(self, ctx: TxContext):
+        ctx.begin_phase(PHASE_COMMIT)  # trivially valid: all locked
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_PUBLISH)
-        local, by_node = self._split_by_home(ctx, write_set.values())
+        local, by_node = self._split_by_home(ctx, ctx.write_set.values())
         for entry in local:
             meta = ctx.node.memory.metadata(entry.descriptor.address)
             meta.begin_write()
@@ -488,34 +488,12 @@ class BaselineProtocol(ProtocolBase):
                 values.update(entry.pending)
             self.send(ctx.node_id, node_id,
                       RdmaWriteRequest(ctx.owner, values=values))
-        # Release every lock (local CAS; remote batched, no stall).
-        remote_by_node: Dict[int, List[int]] = {}
-        for record_id, descriptor in locked:
-            if descriptor.home_node == ctx.node_id:
-                ctx.node.memory.metadata(descriptor.address).unlock(ctx.owner)
-            else:
-                remote_by_node.setdefault(descriptor.home_node, []).append(
-                    descriptor.address)
-        for node_id, addresses in remote_by_node.items():
-            self.send(ctx.node_id, node_id,
-                      BatchedUnlockRequest(ctx.owner,
-                                           record_addresses=addresses))
-        # The publish above (installs + sends + unlocks) has no
-        # suspension points — crash-atomic like the optimistic commit.
-        ctx.applied = True
-
-    def _release_pessimistic_locks(self, ctx: TxContext, locked) -> None:
-        remote_by_node: Dict[int, List[int]] = {}
-        for _record_id, descriptor in locked:
-            if descriptor.home_node == ctx.node_id:
-                ctx.node.memory.metadata(descriptor.address).unlock(ctx.owner)
-            else:
-                remote_by_node.setdefault(descriptor.home_node, []).append(
-                    descriptor.address)
-        for node_id, addresses in remote_by_node.items():
-            self.send(ctx.node_id, node_id,
-                      BatchedUnlockRequest(ctx.owner,
-                                           record_addresses=addresses))
+        # Release every lock (local CAS; remote batched, no stall).  The
+        # installs, sends and unlocks have no suspension points —
+        # crash-atomic like the optimistic commit.
+        self._release_record_locks(ctx)
+        return
+        yield  # pragma: no cover - makes this a generator
 
     def _acquire_record_lock(self, ctx: TxContext,
                              descriptor: RecordDescriptor):
@@ -552,8 +530,9 @@ class BaselineProtocol(ProtocolBase):
     # ------------------------------------------------------------------
 
     def _cleanup_after_squash(self, ctx: TxContext):
-        # Baseline aborts release their locks inline at the abort site;
-        # only the (cheap) set teardown remains.
+        # An optimistic attempt releases its locks inline at the abort
+        # site; a pessimistic one still holds its footprint's.
+        self._release_record_locks(ctx)
         yield ctx.charge_cpu(30, CATEGORY_MANAGE_SETS)
 
     # ------------------------------------------------------------------

@@ -25,13 +25,13 @@ directory lock guarantees multi-line read atomicity in hardware.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.address import node_of_line, partially_covered_lines
 from repro.cluster.node import Node
 from repro.core.api import Owner, Request, SquashedError
 from repro.core.base import ProtocolBase
-from repro.core.txn import PHASE_VALIDATION, TxContext
+from repro.core.txn import TxContext
 from repro.hardware.directory import snapshot_filters
 from repro.net.fabric import TIMED_OUT
 from repro.obs.spans import (
@@ -224,20 +224,15 @@ class HadesProtocol(ProtocolBase):
         address, size = self.requested_range(request)
         lines = self.requested_lines(request)
         partial = set(partially_covered_lines(address, size))
+        value = request.value
         remote_by_node: Dict[int, List[int]] = {}
         for line in lines:
             home = node_of_line(line)
             if home == ctx.node_id:
-                yield from self._local_write_line(ctx, line, request.value)
+                yield from self._local_write_line(ctx, line, value)
             else:
                 remote_by_node.setdefault(home, []).append(line)
-        yield from self._remote_write_lines(ctx, remote_by_node, partial,
-                                            request.value)
-
-    def _remote_write_lines(self, ctx: TxContext,
-                            remote_by_node: Dict[int, List[int]],
-                            partial: Set[int], value: object):
-        """Remote write path shared with HADES-H (Table II, Remote Write)."""
+        # Remote write path, shared with HADES-H (Table II, Remote Write).
         for home, node_lines in remote_by_node.items():
             target = self._route_home(ctx, home)
             ctx.node.nic.note_involved_node(ctx.txid, target)
@@ -270,11 +265,42 @@ class HadesProtocol(ProtocolBase):
 
     def _commit(self, ctx: TxContext):
         node = ctx.node
-        hw = self.config.hw
         if ctx.spans is not None:
             # Steps 1-3 — from the partial directory lock through the
             # last Intend-to-commit Ack — are the lock-acquire span.
             ctx.begin_span_phase(SPAN_LOCK_ACQUIRE)
+        yield from self._lock_local_directory(ctx)
+        involved = yield from self._intend_to_commit(ctx)
+        # Extension hook (replication): make the write set durable on
+        # every replica before anything publishes.
+        if ctx.spans is not None:
+            ctx.begin_span_phase(SPAN_REPLICATE)
+        yield from self._pre_apply(ctx)
+        yield from self._apply_local_writes(ctx)
+
+        # Step 5: Validation + updates to every involved node (no stall).
+        for remote in involved:
+            updates = node.nic.data_payload(ctx.txid, remote)
+            self.send(ctx.node_id, remote,
+                      ValidationMessage(ctx.owner, updates=updates))
+
+        # Step 6: unlock and release all local state.
+        node.directory.unlock(ctx.owner)
+        ctx.holding_local_dirlock = False
+        node.release_local_tx(ctx.txid)
+        node.nic.clear_local(ctx.txid)
+        # Steps 4-6 run without suspension points after the write
+        # apply's charge, so a node crash can never interleave with a
+        # half-published commit; once this flag is set the whole
+        # publish happened.
+        ctx.applied = True
+
+    def _lock_local_directory(self, ctx: TxContext):
+        """Commit steps 1-2: partial-lock the local directory, then
+        squash the remote transactions that read or wrote a line this
+        attempt wrote."""
+        node = ctx.node
+        hw = self.config.hw
         # Step 1: collect written lines (Fig. 8 search) and partial-lock
         # the local directory.
         yield ctx.charge_cpu(hw.find_llc_tags_cycles)
@@ -297,7 +323,13 @@ class HadesProtocol(ProtocolBase):
                                      include_local_bfs=False,
                                      reason="lazy_home")
 
-        # Step 3: Intend-to-commit to every involved remote node.
+    def _intend_to_commit(self, ctx: TxContext):
+        """Commit step 3: Intend-to-commit to every involved remote node.
+
+        Once every Ack is in, the attempt is unsquashable.  Returns the
+        involved nodes, in node-id order.
+        """
+        node = ctx.node
         involved = sorted(node.nic.involved_nodes(ctx.txid))
         if involved:
             active = self.active_tx(ctx.owner)
@@ -326,44 +358,20 @@ class HadesProtocol(ProtocolBase):
         if ctx.squashed:
             raise SquashedError("squashed_during_commit")
         ctx.unsquashable = True
-        # Extension hook (replication): make the write set durable on
-        # every replica before anything publishes.
-        if ctx.spans is not None:
-            ctx.begin_span_phase(SPAN_REPLICATE)
-        yield from self._pre_apply(ctx)
+        return involved
+
+    def _apply_local_writes(self, ctx: TxContext):
+        """Commit step 4: clear local speculative state and apply the
+        write buffer."""
+        node = ctx.node
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_PUBLISH)
-
-        # Step 4: clear local speculative state; apply the write buffer.
-        yield ctx.charge_cpu(hw.find_llc_tags_cycles)
+        yield ctx.charge_cpu(self.config.hw.find_llc_tags_cycles)
         node.directory.clear_writer_tags(ctx.txid)
         node.llc.clear_tags(ctx.txid)
+        ctx.private_filter.clear()
         if ctx.local_write_buffer:
             node.memory.write_lines(ctx.local_write_buffer)
-            self._after_local_apply(ctx)
-
-        # Step 5: Validation + updates to every involved node (no stall).
-        for remote in involved:
-            updates = node.nic.data_payload(ctx.txid, remote)
-            self.send(ctx.node_id, remote,
-                      ValidationMessage(ctx.owner, updates=updates))
-
-        # Step 6: unlock and release all local state.
-        node.directory.unlock(ctx.owner)
-        ctx.holding_local_dirlock = False
-        node.release_local_tx(ctx.txid)
-        node.nic.clear_local(ctx.txid)
-        ctx.private_filter.clear()
-        # Steps 4-6 run without suspension points, so a node crash can
-        # never interleave with a half-published commit; once this flag
-        # is set the whole publish happened.
-        ctx.applied = True
-
-    def _after_local_apply(self, ctx: TxContext) -> None:
-        """Hook: HADES-H bumps record versions for its software readers.
-
-        Pure HADES has no versions (Table I row 2), so this is a no-op.
-        """
 
     def _pre_apply(self, ctx: TxContext):
         """Hook: runs once the attempt is unsquashable (all Acks in) and
@@ -459,7 +467,7 @@ class HadesProtocol(ProtocolBase):
         involved = set(node.nic.involved_nodes(ctx.txid))
         # A pessimistic attempt may hold remote directory locks beyond
         # its NIC-recorded footprint.
-        for node_id in getattr(ctx, "pessimistic_locked_nodes", ()):  # pragma: no cover
+        for node_id in getattr(ctx, "pessimistic_locked_nodes", ()):
             if node_id != ctx.node_id:
                 involved.add(node_id)
         for remote in involved:
@@ -469,22 +477,24 @@ class HadesProtocol(ProtocolBase):
         if getattr(ctx, "private_filter", None) is not None:
             ctx.private_filter.clear()
         self.replies.abandon_owner(ctx.owner)
-        yield ctx.charge_cpu(self.config.hw.find_llc_tags_cycles)
+        yield self._teardown_charge(ctx)
+
+    def _teardown_charge(self, ctx: TxContext) -> float:
+        """The cleanup's own CPU work (the Fig. 8 tag search); returns
+        the delay to yield."""
+        return ctx.charge_cpu(self.config.hw.find_llc_tags_cycles)
 
     # ------------------------------------------------------------------
-    # pessimistic fallback (Section VI)
+    # pessimistic fallback (the loop is ProtocolBase._pessimistic_attempt)
     # ------------------------------------------------------------------
 
-    def _pessimistic_attempt(self, ctx: TxContext, requests,
-                             footprint: List[int]):
-        """Lock every footprint directory up front, then run conflict-free.
+    def _lock_footprint(self, ctx: TxContext, footprint: List[int]):
+        """Lock every footprint directory up front.
 
         All lines of every footprint record are write-locked ("it gets
-        all permissions", Section VI), so the execution below cannot
-        conflict with anything.
+        all permissions", Section VI), so the execution that follows
+        cannot conflict with anything.
         """
-        self._init_attempt_state(ctx)
-        footprint_set = set(footprint)
         lock_lines: Dict[int, List[int]] = {}
         for record_id in footprint:
             for line in self.descriptor(record_id).lines:
@@ -521,86 +531,74 @@ class HadesProtocol(ProtocolBase):
             lock_backoff = BLOCKED_RETRY_NS * 8 * (1.0 + self.rng.random())
             self.note_retry_wait(lock_backoff)
             yield lock_backoff
-        ctx.pessimistic_locked_nodes = list(involved)
+        # Cleanup releases every directory lock held from here on.
+        ctx.pessimistic_locked_nodes = involved
         ctx.holding_local_dirlock = ctx.node_id in involved
+        #: remote home -> {line: value} written under the locks.
+        ctx.buffered_remote = {}
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_EXECUTE)
 
-        # Execute with all permissions held.
-        buffered_remote: Dict[int, Dict[int, object]] = {}
-        for request in requests:
-            ctx.touched_records.add(request.record_id)
-            if request.record_id not in footprint_set:
-                # The body reached outside the learned footprint: widen
-                # and retry (cleanup releases every directory lock).
-                self.metrics.counters.add("pessimistic_footprint_misses")
-                raise SquashedError("footprint_miss")
-            work = request.work_cycles
-            yield ctx.charge_cpu(work if work is not None
-                                 else self.config.cost.request_work_cycles)
-            lines = self.requested_lines(request)
-            if request.is_write:
-                for line in lines:
-                    home = node_of_line(line)
-                    if home == ctx.node_id:
-                        ctx.local_write_buffer[line] = request.value
-                    else:
-                        buffered_remote.setdefault(home, {})[line] = request.value
-                    ctx.remote_cache[line] = request.value
-                continue
-            values = {}
-            remote_fetch: Dict[int, List[int]] = {}
-            for line in lines:
-                home = node_of_line(line)
-                if home == ctx.node_id:
-                    yield ctx.charge_cpu_ns(self._local_line_ns)
-                    values[line] = self._local_value(ctx, line)
-                elif line in ctx.remote_cache:
-                    values[line] = ctx.remote_cache[line]
-                else:
-                    remote_fetch.setdefault(home, []).append(line)
-            for home, fetch in remote_fetch.items():
-                token = (ctx.owner, "pread", self.next_token())
-                fetched = yield self.request(
-                    ctx.node_id, home,
-                    RdmaReadRequest(ctx.owner, lines=fetch, token=token),
-                    token)
-                if fetched is TIMED_OUT:
-                    # Cleanup releases every directory lock held so far.
-                    raise SquashedError("request_timeout")
-                ctx.remote_cache.update(fetched)
-                values.update(fetched)
-            ctx.read_results.append(values)
+    def _pessimistic_read(self, ctx: TxContext, request: Request):
+        values = {}
+        remote_fetch: Dict[int, List[int]] = {}
+        for line in self.requested_lines(request):
+            home = node_of_line(line)
+            if home == ctx.node_id:
+                yield ctx.charge_cpu_ns(self._local_line_ns)
+                values[line] = self._local_value(ctx, line)
+            elif line in ctx.remote_cache:
+                values[line] = ctx.remote_cache[line]
+            else:
+                remote_fetch.setdefault(home, []).append(line)
+        for home, fetch in remote_fetch.items():
+            token = (ctx.owner, "pread", self.next_token())
+            fetched = yield self.request(
+                ctx.node_id, home,
+                RdmaReadRequest(ctx.owner, lines=fetch, token=token),
+                token)
+            if fetched is TIMED_OUT:
+                # Cleanup releases every directory lock held so far.
+                raise SquashedError("request_timeout")
+            ctx.remote_cache.update(fetched)
+            values.update(fetched)
+        return values
 
-        ctx.begin_phase(PHASE_VALIDATION)
+    def _pessimistic_write(self, ctx: TxContext, request: Request):
+        for line in self.requested_lines(request):
+            home = node_of_line(line)
+            if home == ctx.node_id:
+                ctx.local_write_buffer[line] = request.value
+            else:
+                ctx.buffered_remote.setdefault(home, {})[line] = request.value
+            ctx.remote_cache[line] = request.value
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def _pessimistic_publish(self, ctx: TxContext):
         # Extension hook (e.g. replication) before the writes publish.
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_REPLICATE)
-        yield from self._pre_pessimistic_publish(ctx, buffered_remote)
+        yield from self._pre_pessimistic_publish(ctx)
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_PUBLISH)
         # Apply local writes, push remote writes, release every lock.
         if ctx.local_write_buffer:
-            ctx.node.memory.write_lines(ctx.local_write_buffer)
-            ctx.node.memory.bump_versions_for_lines(ctx.local_write_buffer)
-        for node_id in involved:
+            self._apply_updates(ctx.node, ctx.local_write_buffer)
+        for node_id in ctx.pessimistic_locked_nodes:
             if node_id == ctx.node_id:
                 ctx.node.directory.unlock(ctx.owner)
                 ctx.holding_local_dirlock = False
             else:
                 self.send(ctx.node_id, node_id,
                           ValidationMessage(ctx.owner,
-                                            updates=buffered_remote.get(
+                                            updates=ctx.buffered_remote.get(
                                                 node_id, {})))
         ctx.pessimistic_locked_nodes = []
         ctx.node.release_local_tx(ctx.txid)
         ctx.node.nic.clear_local(ctx.txid)
-        # The publish above has no suspension points after the pre-hook's
-        # last yield — crash-atomic, like the optimistic commit.
-        ctx.applied = True
 
-    def _pre_pessimistic_publish(self, ctx: TxContext,
-                                 buffered_remote: Dict[int, Dict[int, object]]):
+    def _pre_pessimistic_publish(self, ctx: TxContext):
         """Hook: runs after a pessimistic attempt's locks are all held
         and the body finished, before the writes publish.  The
         replication extension persists replicas here.  No-op by default.
@@ -700,7 +698,7 @@ class HadesProtocol(ProtocolBase):
                                                    message.owner):
                 break
             yield BLOCKED_RETRY_NS
-        values = node.memory.read_lines(message.lines)
+        values = self._line_values(node, message.lines)
         self.send(node.node_id, src,
                   ReplyMessage(message.owner, token=message.token,
                                payload=values,
@@ -718,7 +716,7 @@ class HadesProtocol(ProtocolBase):
                                                     message.owner):
                 break
             yield BLOCKED_RETRY_NS
-        values = node.memory.read_lines(message.partial_lines)
+        values = self._line_values(node, message.partial_lines)
         self.send(node.node_id, src,
                   ReplyMessage(message.owner, token=message.token,
                                payload=values,
@@ -758,10 +756,23 @@ class HadesProtocol(ProtocolBase):
     def _serve_validation(self, node: Node, message: ValidationMessage) -> None:
         """Remote-node commit steps 4-5: push updates, release state."""
         if message.updates:
-            node.memory.write_lines(message.updates)
-            node.memory.bump_versions_for_lines(message.updates)
+            self._apply_updates(node, message.updates)
         node.directory.unlock(message.owner)
         node.nic.clear_remote(message.owner)
+
+    def _line_values(self, node: Node, lines) -> Dict[int, object]:
+        """Hook: the values of ``lines`` that ``node`` serves.
+
+        Every line is homed on ``node`` by default; the replicated
+        protocol also serves lines of a dead home from its replica
+        store (docs/RECOVERY.md).
+        """
+        return node.memory.read_lines(lines)
+
+    def _apply_updates(self, node: Node, updates: Dict[int, object]) -> None:
+        """Hook: install published ``updates`` at ``node``."""
+        node.memory.write_lines(updates)
+        node.memory.bump_versions_for_lines(updates)
 
     def _serve_directory_lock(self, node: Node, src: int,
                               message: DirectoryLockRequest) -> None:

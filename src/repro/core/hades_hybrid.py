@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.cluster.address import partially_covered_lines
 from repro.cluster.record import RecordDescriptor
 from repro.core.api import Request, SquashedError
 from repro.core.baseline import (
@@ -41,14 +40,7 @@ from repro.core.txn import (
     TxContext,
 )
 from repro.hardware.directory import snapshot_filters
-from repro.net.fabric import TIMED_OUT
-from repro.net.messages import IntendToCommitMessage, ValidationMessage
-from repro.obs.spans import (
-    SPAN_LOCK_ACQUIRE,
-    SPAN_PUBLISH,
-    SPAN_REPLICATE,
-    SPAN_VALIDATE,
-)
+from repro.obs.spans import SPAN_PUBLISH, SPAN_VALIDATE
 
 
 class HadesHybridProtocol(HadesProtocol):
@@ -111,11 +103,7 @@ class HadesHybridProtocol(HadesProtocol):
         descriptor = self.descriptor(record_id)
         if descriptor.home_node != ctx.node_id:
             # Remote: HADES' write, buffered in the NIC (Module 4b).
-            lines = self.requested_lines(request)
-            address, size = self.requested_range(request)
-            partial = set(partially_covered_lines(address, size))
-            yield from self._remote_write_lines(
-                ctx, {descriptor.home_node: lines}, partial, request.value)
+            yield from super()._execute_write(ctx, request)
             return
         # Local: SW-Impl's write, read before written into the Write Set.
         entry = ctx.write_set.get(record_id)
@@ -182,17 +170,14 @@ class HadesHybridProtocol(HadesProtocol):
         raise SquashedError("read_retries_exhausted")
 
     # ------------------------------------------------------------------
-    # commit (Section V-D)
+    # commit (Section V-D): HADES' _commit with the local phases in software
     # ------------------------------------------------------------------
 
-    def _commit(self, ctx: TxContext):
+    def _lock_local_directory(self, ctx: TxContext):
+        """Partial-lock the local directory with BFs built from the
+        Read and Write Sets, then sweep the NIC's remote BFs."""
         node = ctx.node
         cost = self.config.cost
-        hw = self.config.hw
-        if ctx.spans is not None:
-            # BF build + partial lock + Intend-to-commit/Acks.
-            ctx.begin_span_phase(SPAN_LOCK_ACQUIRE)
-
         # Software hands the local record addresses to the NIC, which
         # builds the equivalent of LocalReadBF/LocalWriteBF.
         local_read_lines: List[int] = []
@@ -210,7 +195,7 @@ class HadesHybridProtocol(HadesProtocol):
                                              local_write_lines)
 
         # Partial-lock the local directory.
-        yield ctx.charge_cpu(hw.partial_lock_cycles,
+        yield ctx.charge_cpu(self.config.hw.partial_lock_cycles,
                              CATEGORY_CONFLICT_DETECTION)
         if not node.directory.try_lock(ctx.owner, read_bf, write_bf,
                                        sorted(set(local_write_lines))):
@@ -225,47 +210,36 @@ class HadesHybridProtocol(HadesProtocol):
                                      include_local_bfs=False,
                                      reason="lazy_home")
 
-        # Intend-to-commit to every involved remote node; remote nodes
-        # check R-R conflicts only (local transactions have no BFs).
-        involved = sorted(node.nic.involved_nodes(ctx.txid))
+    def _intend_to_commit(self, ctx: TxContext):
+        """HADES' Intend-to-commit round, its wait charged to conflict
+        detection; remote nodes check R-R conflicts only (local
+        transactions have no BFs)."""
+        started = self.engine.now
+        involved = yield from super()._intend_to_commit(ctx)
         if involved:
-            active = self.active_tx(ctx.owner)
-            if active is not None:
-                active.acks_remaining = len(involved)
-                active.any_ack_failed = False
-            messages = []
-            for remote in involved:
-                token = (ctx.owner, "itc", remote)
-                messages.append((remote, IntendToCommitMessage(
-                    ctx.owner,
-                    written_lines=node.nic.writes_for_node(ctx.txid, remote),
-                    token=token), token))
-            started = self.engine.now
-            acks = yield self.request_all(ctx.node_id, messages)
             ctx.attribute_wait(self.engine.now - started,
                                CATEGORY_CONFLICT_DETECTION)
-            if ctx.squashed:
-                raise SquashedError("squashed_during_commit")
-            if any(ack is TIMED_OUT for ack in acks):
-                self.metrics.counters.add("ack_timeouts")
-                raise SquashedError("ack_timeout")
-            if not all(acks):
-                self.metrics.counters.add("dirlock_failures_remote")
-                raise SquashedError("dirlock_remote")
-        if ctx.squashed:
-            raise SquashedError("squashed_during_commit")
-        ctx.unsquashable = True
-        # Extension hook (replication): make the write set durable
-        # before anything publishes.
-        if ctx.spans is not None:
-            ctx.begin_span_phase(SPAN_REPLICATE)
-        yield from self._pre_apply(ctx)
+        return involved
 
+    def _apply_local_writes(self, ctx: TxContext):
+        """Local Validation (software), then merge the Write Set."""
+        node = ctx.node
+        cost = self.config.cost
         # Local Validation (software): re-read every local record in the
         # Read and Write sets and compare versions.
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_VALIDATE)
-        yield from self._local_validation(ctx)
+        for entry in ctx.read_set.values():
+            yield ctx.charge_cpu_ns(self._local_line_ns,
+                                    CATEGORY_CONFLICT_DETECTION)
+            yield ctx.charge_cpu(cost.version_compare_cycles,
+                                 CATEGORY_CONFLICT_DETECTION)
+            meta = node.memory.metadata(entry.descriptor.address)
+            if meta.version != entry.version:
+                self.metrics.counters.add("hybrid_local_validation_failures")
+                self.trace_point(ctx, "local_validation_failure",
+                                 record=entry.descriptor.record_id)
+                raise SquashedError("local_validation")
         if ctx.spans is not None:
             ctx.begin_span_phase(SPAN_PUBLISH)
 
@@ -285,49 +259,6 @@ class HadesHybridProtocol(HadesProtocol):
             node.memory.write_lines(entry.pending)
             meta.complete_write()
 
-        # Terminate like HADES: Validation messages, unlock, clear.
-        for remote in involved:
-            updates = node.nic.data_payload(ctx.txid, remote)
-            self.send(ctx.node_id, remote,
-                      ValidationMessage(ctx.owner, updates=updates))
-        node.directory.unlock(ctx.owner)
-        ctx.holding_local_dirlock = False
-        node.nic.clear_local(ctx.txid)
-        ctx.applied = True
-
-    def _local_validation(self, ctx: TxContext):
-        """Re-read local record versions; squash on any change."""
-        cost = self.config.cost
-        entries = list(ctx.read_set.values())
-        for entry in entries:
-            yield ctx.charge_cpu_ns(self._local_line_ns,
-                                    CATEGORY_CONFLICT_DETECTION)
-            yield ctx.charge_cpu(cost.version_compare_cycles,
-                                 CATEGORY_CONFLICT_DETECTION)
-            meta = ctx.node.memory.metadata(entry.descriptor.address)
-            if meta.version != entry.version:
-                self.metrics.counters.add("hybrid_local_validation_failures")
-                self.trace_point(ctx, "local_validation_failure",
-                                 record=entry.descriptor.record_id)
-                raise SquashedError("local_validation")
-
-    # ------------------------------------------------------------------
-    # cleanup
-    # ------------------------------------------------------------------
-
-    def _cleanup_after_squash(self, ctx: TxContext):
-        node = ctx.node
-        if getattr(ctx, "holding_local_dirlock", False):
-            node.directory.unlock(ctx.owner)
-            ctx.holding_local_dirlock = False
-        involved = set(node.nic.involved_nodes(ctx.txid))
-        for node_id in getattr(ctx, "pessimistic_locked_nodes", ()):
-            if node_id != ctx.node_id:
-                involved.add(node_id)
-        from repro.net.messages import AbortCleanupMessage
-        for remote in involved:
-            self.send(ctx.node_id, remote, AbortCleanupMessage(ctx.owner))
-        node.nic.clear_local(ctx.txid)
-        node.release_local_tx(ctx.txid)  # no-op: hybrid never registers
-        self.replies.abandon_owner(ctx.owner)
-        yield ctx.charge_cpu(30, CATEGORY_MANAGE_SETS)
+    def _teardown_charge(self, ctx: TxContext) -> float:
+        # Set teardown, as in SW-Impl.
+        return ctx.charge_cpu(30, CATEGORY_MANAGE_SETS)

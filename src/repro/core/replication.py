@@ -29,11 +29,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 from repro.cluster.address import node_of_line
 from repro.cluster.node import Node
 from repro.core.api import Owner, SquashedError
-from repro.core.hades import (
-    BLOCKED_RETRY_NS,
-    MAX_BLOCKED_RETRIES,
-    HadesProtocol,
-)
+from repro.core.hades import HadesProtocol
 from repro.core.txn import TxContext
 from repro.net.fabric import TIMED_OUT
 from repro.net.messages import (
@@ -42,12 +38,9 @@ from repro.net.messages import (
     LINE_BYTES,
     AckMessage,
     Message,
-    RdmaReadRequest,
-    RemoteWriteAccessRequest,
-    ReplyMessage,
     Token,
-    ValidationMessage,
 )
+from repro.sim.events import AllOf
 
 
 @dataclass
@@ -215,11 +208,9 @@ class HadesReplicatedProtocol(HadesProtocol):
         nodes = self.config.nodes
         return [(home + k) % nodes for k in range(1, self.replicas + 1)]
 
-    def _replica_updates(self, ctx: TxContext) -> Dict[int, Dict[int, object]]:
-        """replica node -> {line: value} for everything ctx wrote."""
-        written: Dict[int, object] = dict(ctx.local_write_buffer)
-        for remote in ctx.node.nic.involved_nodes(ctx.txid):
-            written.update(ctx.node.nic.data_payload(ctx.txid, remote))
+    def _replica_updates(self, written: Dict[int, object]
+                         ) -> Dict[int, Dict[int, object]]:
+        """replica node -> {line: value} for the ``written`` lines."""
         per_node: Dict[int, Dict[int, object]] = {}
         for line, value in written.items():
             for replica in self.replica_nodes_of_line(line):
@@ -294,7 +285,10 @@ class HadesReplicatedProtocol(HadesProtocol):
         an attempt that crashes before finishing the persists resolves
         as aborted, one that crashed after publishing resolves as
         committed (docs/RECOVERY.md)."""
-        per_node = self._drop_dead_replicas(ctx, self._replica_updates(ctx))
+        written: Dict[int, object] = dict(ctx.local_write_buffer)
+        for remote in ctx.node.nic.involved_nodes(ctx.txid):
+            written.update(ctx.node.nic.data_payload(ctx.txid, remote))
+        per_node = self._drop_dead_replicas(ctx, self._replica_updates(written))
         # Record the attempted replica set up front: a failure after a
         # partial persist must discard every temporary copy at cleanup.
         ctx.replicated_nodes = sorted(per_node)
@@ -319,22 +313,26 @@ class HadesReplicatedProtocol(HadesProtocol):
             events.append(self.request(ctx.node_id, replica_node, message,
                                        token))
         if events:
-            from repro.sim.events import AllOf
             outcomes = yield AllOf(self.engine, events)
             self._check_replica_outcomes(ctx, outcomes)
 
     def _commit(self, ctx: TxContext):
         yield from super()._commit(ctx)
+        # Phase 2: the transaction is committed.  No suspension points
+        # since the publish in super()._commit — the promote burst is
+        # part of the crash-atomic region, so a published commit always
+        # has its local promote and its (reliable) ReplicaCommit
+        # messages on the wire.
+        self._promote_replicas(ctx)
 
-        # Phase 2: the transaction is committed; promote every replica.
-        # The stamp orders conflicting writers (serialized by the home
-        # directory lock, so their commit times are ordered).  No
-        # suspension points since the publish in super()._commit — the
-        # promote burst is part of the crash-atomic region, so a
-        # published commit always has its local promote and its
-        # (reliable) ReplicaCommit messages on the wire.
+    def _promote_replicas(self, ctx: TxContext) -> None:
+        """Promote ``ctx``'s temporary copy on every replica.
+
+        The stamp orders conflicting writers (serialized by the home
+        directory lock, so their commit times are ordered).
+        """
         stamp = self.engine.now
-        for replica_node in getattr(ctx, "replicated_nodes", ()):
+        for replica_node in ctx.replicated_nodes:
             if replica_node == ctx.node_id:
                 self._promote_at(replica_node, ctx.owner, stamp)
             else:
@@ -371,18 +369,14 @@ class HadesReplicatedProtocol(HadesProtocol):
                 self.recovery.push_reconcile(node_id, home,
                                              [(line, applied[line])])
 
-    def _pre_pessimistic_publish(self, ctx: TxContext, buffered_remote):
+    def _pre_pessimistic_publish(self, ctx: TxContext):
         """Pessimistic commits replicate too: with every directory lock
         held nothing can squash the attempt, so persist and promote the
         replicas directly (one round trip to the remote stores)."""
         written: Dict[int, object] = dict(ctx.local_write_buffer)
-        for updates in buffered_remote.values():
+        for updates in ctx.buffered_remote.values():
             written.update(updates)
-        per_node: Dict[int, Dict[int, object]] = {}
-        for line, value in written.items():
-            for replica in self.replica_nodes_of_line(line):
-                per_node.setdefault(replica, {})[line] = value
-        per_node = self._drop_dead_replicas(ctx, per_node)
+        per_node = self._drop_dead_replicas(ctx, self._replica_updates(written))
         if not per_node:
             return
         ctx.replicated_nodes = sorted(per_node)
@@ -407,7 +401,6 @@ class HadesReplicatedProtocol(HadesProtocol):
                                      manifest=manifest, token=token),
                 token))
         if events:
-            from repro.sim.events import AllOf
             outcomes = yield AllOf(self.engine, events)
             # A failed or missing Ack must abort the attempt — promoting
             # regardless would silently commit an unreplicated write
@@ -421,13 +414,7 @@ class HadesReplicatedProtocol(HadesProtocol):
             raise SquashedError("replica_failure")
         # From here through the caller's publish there are no suspension
         # points: promote burst and publish are one crash-atomic region.
-        stamp = self.engine.now
-        for replica_node in ctx.replicated_nodes:
-            if replica_node == ctx.node_id:
-                self._promote_at(replica_node, ctx.owner, stamp)
-            else:
-                self.send(ctx.node_id, replica_node,
-                          ReplicaCommitMessage(ctx.owner, stamp=stamp))
+        self._promote_replicas(ctx)
         ctx.replicated_nodes = []
 
     def _cleanup_after_squash(self, ctx: TxContext):
@@ -487,17 +474,6 @@ class HadesReplicatedProtocol(HadesProtocol):
                 return candidate
         return home
 
-    def _foreign_split(self, node: Node, lines):
-        """(home lines, foreign lines) of a request served at ``node``.
-
-        Foreign lines appear only under failover routing: their home is
-        some other (dead) node and this node serves them from its
-        permanent replica copy.
-        """
-        home_lines = [l for l in lines if node_of_line(l) == node.node_id]
-        foreign = [l for l in lines if node_of_line(l) != node.node_id]
-        return home_lines, foreign
-
     def _replica_values(self, node: Node, lines) -> Dict[int, object]:
         store = self.stores[node.node_id]
         values = {line: store.permanent.get(line) for line in lines}
@@ -505,62 +481,34 @@ class HadesReplicatedProtocol(HadesProtocol):
             self.recovery.note_failover_read(node.node_id, len(values))
         return values
 
-    def _serve_remote_read(self, node: Node, src: int,
-                           message: RdmaReadRequest):
-        home_lines, foreign = self._foreign_split(node, message.lines)
+    def _line_values(self, node: Node, lines) -> Dict[int, object]:
+        """Home lines from memory; foreign lines from the replica store.
+
+        Foreign lines appear only under failover routing: their home is
+        some other (dead) node and this node serves them from its
+        permanent replica copy.
+        """
+        node_id = node.node_id
+        foreign = [l for l in lines if node_of_line(l) != node_id]
         if not foreign:
-            yield from super()._serve_remote_read(node, src, message)
-            return
-        node.nic.record_remote_read(message.owner, message.lines)
-        for _ in range(MAX_BLOCKED_RETRIES):
-            if not node.directory.any_read_blocked(message.lines,
-                                                   message.owner):
-                break
-            yield BLOCKED_RETRY_NS
-        values = node.memory.read_lines(home_lines)
+            return node.memory.read_lines(lines)
+        values = node.memory.read_lines(
+            [l for l in lines if node_of_line(l) == node_id])
         values.update(self._replica_values(node, foreign))
-        self.send(node.node_id, src,
-                  ReplyMessage(message.owner, token=message.token,
-                               payload=values,
-                               payload_bytes=64 * len(values)))
+        return values
 
-    def _serve_remote_write_access(self, node: Node, src: int,
-                                   message: RemoteWriteAccessRequest):
-        home_partial, foreign_partial = self._foreign_split(
-            node, message.partial_lines)
-        if not any(node_of_line(l) != node.node_id
-                   for l in message.all_lines):
-            yield from super()._serve_remote_write_access(node, src, message)
-            return
-        node.nic.record_remote_write(message.owner, message.partial_lines)
-        for _ in range(MAX_BLOCKED_RETRIES):
-            if not node.directory.any_write_blocked(message.all_lines,
-                                                    message.owner):
-                break
-            yield BLOCKED_RETRY_NS
-        values = node.memory.read_lines(home_partial)
-        values.update(self._replica_values(node, foreign_partial))
-        self.send(node.node_id, src,
-                  ReplyMessage(message.owner, token=message.token,
-                               payload=values,
-                               payload_bytes=64 * len(values)))
-
-    def _serve_validation(self, node: Node,
-                          message: ValidationMessage) -> None:
+    def _apply_updates(self, node: Node, updates: Dict[int, object]) -> None:
         """Validation at a failover target: home lines go to memory as
         usual; foreign (dead-homed) lines go straight to the permanent
         replica copy and into the rejoin journal."""
-        home_updates = {l: v for l, v in message.updates.items()
+        home_updates = {l: v for l, v in updates.items()
                         if node_of_line(l) == node.node_id}
-        foreign = {l: v for l, v in message.updates.items()
+        foreign = {l: v for l, v in updates.items()
                    if node_of_line(l) != node.node_id}
         if home_updates:
-            node.memory.write_lines(home_updates)
-            node.memory.bump_versions_for_lines(home_updates)
+            super()._apply_updates(node, home_updates)
         if foreign:
             self._apply_failover_updates(node.node_id, foreign)
-        node.directory.unlock(message.owner)
-        node.nic.clear_remote(message.owner)
 
     def _apply_failover_updates(self, node_id: int,
                                 updates: Dict[int, object]) -> None:

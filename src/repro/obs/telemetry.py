@@ -98,9 +98,9 @@ NANOSECONDS_PER_SECOND = 1e9
 class TelemetrySampler:
     """Samples the closed telemetry schema every ``interval_ns``.
 
-    Build one, pass it to ``run_experiment(..., telemetry=...)`` (or let
-    the runner build it from ``config.telemetry``); the runner installs
-    it after the warm-up with references to every subsystem it reads.
+    Build one and pass it to ``run_experiment(..., telemetry=...)``; the
+    runner installs it after the warm-up with references to every
+    subsystem it reads.
     ``sink`` is called with each snapshot dict as it is taken; the ring
     buffer keeps the ``retain`` newest for after-the-fact inspection.
     """

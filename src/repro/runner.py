@@ -62,7 +62,7 @@ class ExperimentResult:
     #: ``config.load.enabled``; else None.
     load: Optional[Dict[str, object]] = None
     #: Live-telemetry sampler (ring buffer of snapshots) when one was
-    #: passed in or ``config.telemetry.enabled``; else None.
+    #: passed in; else None.
     telemetry: Optional[TelemetrySampler] = None
     #: Engine callbacks executed during the run — the simulator's own
     #: cost, pinned exactly per scenario by tests/test_golden_counters.py
@@ -268,10 +268,6 @@ def run_experiment(
                 # Queue contents / latch / controller mode persist (they are
                 # system state); only the transient-era numbers are dropped.
                 load_driver.reset_stats()
-        if telemetry is None and config.telemetry.enabled:
-            telemetry = TelemetrySampler(
-                interval_ns=config.telemetry.interval_ns,
-                retain=config.telemetry.retain)
         if telemetry is not None:
             # Installed after the warm-up, so the series starts at the
             # same point the aggregates measure from.  The sampler reads

@@ -9,6 +9,13 @@ from repro.core import read, write
 from repro.core.api import Request, SquashCause, SquashedError, TxStatus
 from repro.core.base import attempt_requests
 from repro.core.txn import CATEGORY_OTHER
+from repro.obs.spans import (
+    SPAN_EXECUTE,
+    SPAN_LOCK_ACQUIRE,
+    SPAN_PUBLISH,
+    SPAN_REPLICATE,
+    SpanRecorder,
+)
 from repro.verify.locks import find_leaks
 
 from tests.core.conftest import ProtocolHarness
@@ -135,9 +142,9 @@ class TestFootprintLearning:
         The body touches record 1, 2, 1 on successive attempts.  The
         first attempt holds record 1's value through 40 us of work, and
         a contender commits a write to record 1 meanwhile, so it aborts.
-        The second is pessimistic over {1} and misses on record 2 (on
-        Baseline, ``_release_pessimistic_locks`` frees record 1); the
-        third locks {1, 2} and commits.
+        The second is pessimistic over {1} and misses on record 2 (the
+        cleanup frees record 1's lock); the third locks {1, 2} and
+        commits.
         """
         harness = ProtocolHarness(
             any_protocol, livelock=LivelockParams(squash_threshold=1))
@@ -195,6 +202,32 @@ class TestPessimisticAttempt:
         extra = (other_ns(config.cost.request_work_cycles + 1000)
                  - other_ns(None))
         assert extra == pytest.approx(1000 * config.core.cycle_ns)
+
+
+    def test_reads_back_its_own_writes(self, any_protocol):
+        """A pessimistic attempt reads a local and a remote record it
+        just wrote, commits in the lifecycle phases of the fallback and
+        releases every lock."""
+        harness = ProtocolHarness(
+            any_protocol, livelock=LivelockParams(squash_threshold=0))
+        harness.protocol.spans = SpanRecorder(keep_attempts=True)
+        local = harness.add_record(1, home=0)
+        remote = harness.add_record(2, home=1)
+        ctx = harness.run_transaction([
+            write(1, value="local"), write(2, value="remote"),
+            read(1), read(2)])
+        assert ctx.read_results == [
+            {line: "local" for line in local.lines},
+            {line: "remote" for line in remote.lines}]
+        expected = {SPAN_LOCK_ACQUIRE, SPAN_EXECUTE, SPAN_PUBLISH}
+        if any_protocol != "baseline":
+            expected.add(SPAN_REPLICATE)
+        (attempt,) = harness.protocol.spans.attempt_records
+        assert attempt["committed"]
+        assert set(attempt["phases"]) == expected
+        counters = harness.protocol.metrics.counters
+        assert counters.get("pessimistic_commits") == 1
+        assert find_leaks(harness.cluster, harness.protocol) == []
 
 
 class TestListsAndBodies:

@@ -35,6 +35,8 @@ class TestSampler:
     def test_rejects_non_positive_interval(self):
         with pytest.raises(ValueError):
             TelemetrySampler(interval_ns=0.0)
+        with pytest.raises(ValueError, match="retention"):
+            TelemetrySampler(retain=0)
 
     def test_one_row_per_interval(self, tmp_path):
         _, lines = sampled_run(tmp_path)

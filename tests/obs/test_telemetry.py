@@ -9,12 +9,10 @@ The two contracts that matter (docs/SERVE.md, docs/PERFORMANCE.md):
   byte-identical ``TELEMETRY.jsonl``, for any ``--workers`` count.
 """
 
-import dataclasses
 import json
 
 import pytest
 
-from repro.config import TelemetryParams
 from repro.obs.telemetry import (
     SNAPSHOT_FIELDS,
     TELEMETRY_SCHEMA,
@@ -160,47 +158,3 @@ class TestSchema:
         assert len(loaded) == writer.lines
         for snap in loaded:
             validate_snapshot(snap)
-
-
-class TestTelemetryParams:
-    def test_defaults_disabled(self):
-        params = TelemetryParams()
-        assert not params.enabled
-
-    def test_parse_empty_enables_defaults(self):
-        params = TelemetryParams.parse("")
-        assert params.enabled
-        assert params.interval_ns == 10_000.0
-
-    def test_parse_spec(self):
-        params = TelemetryParams.parse("interval=2500,retain=64")
-        assert params.enabled
-        assert params.interval_ns == 2_500.0
-        assert params.retain == 64
-
-    def test_parse_off(self):
-        assert not TelemetryParams.parse("off").enabled
-        assert not TelemetryParams.parse("none").enabled
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            TelemetryParams(enabled=True, interval_ns=0.0)
-        with pytest.raises(ValueError):
-            TelemetryParams(enabled=True, retain=0)
-        with pytest.raises(ValueError):
-            TelemetryParams.parse("cadence=5")
-
-    def test_config_override_path(self):
-        # Sweep overrides reach the sampler via config.telemetry.
-        from repro.config import ClusterConfig
-
-        config = ClusterConfig()
-        tuned = dataclasses.replace(
-            config, telemetry=dataclasses.replace(
-                config.telemetry, enabled=True, interval_ns=2_000.0))
-        result = run_experiment(
-            "hades", make_workload("HT-wA", scale=0.05), config=tuned,
-            duration_ns=30_000.0, seed=3, llc_sets=512)
-        assert result.telemetry is not None
-        assert result.telemetry.interval_ns == 2_000.0
-        assert result.telemetry.taken > 0
